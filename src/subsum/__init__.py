@@ -8,66 +8,30 @@ unitary-divisor summatory to decide the parity of the number of primes in an
 interval without enumerating primes.
 """
 
-from .arith import ikrt, is_prime, isqrt, segmented_prime_count, sieve_smallest_factor
-from .base_summatory import (
-    catalog_atom,
-    character_summatory,
-    count_summatory,
-    divisor_summatory,
-    mertens,
-    power_summatory,
-)
+from .arith import segmented_prime_count
 from .combinator import (
     SummatoryEvaluator,
     catalog_derived,
-    dec_conv_power,
-    dec_convolve,
-    dec_generalized,
-    eval_summatory,
     expr_deceleration,
-    format_expr,
     gaussian_dec,
-    optimal_split,
     parse_expr,
     tau_k_dec,
 )
-from .multfn import PrimePowerFn, algorithm_m, algorithm_m_sum, convolve_prime_power, stretch_prime_power
-from .parity import ParityReport, interval_prime_parity, prime_power_counts, unitary_divisor_summatory
+from .multfn import algorithm_m, algorithm_m_sum
+from .parity import interval_prime_parity
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimePowerFn",
-    "ParityReport",
     "SummatoryEvaluator",
     "algorithm_m",
     "algorithm_m_sum",
-    "catalog_atom",
     "catalog_derived",
-    "character_summatory",
-    "convolve_prime_power",
-    "count_summatory",
-    "dec_conv_power",
-    "dec_convolve",
-    "dec_generalized",
-    "divisor_summatory",
-    "eval_summatory",
     "expr_deceleration",
-    "format_expr",
     "gaussian_dec",
-    "ikrt",
     "interval_prime_parity",
-    "is_prime",
-    "isqrt",
-    "mertens",
-    "optimal_split",
     "parse_expr",
-    "power_summatory",
-    "prime_power_counts",
     "segmented_prime_count",
-    "sieve_smallest_factor",
-    "stretch_prime_power",
     "tau_k_dec",
-    "unitary_divisor_summatory",
     "__version__",
 ]

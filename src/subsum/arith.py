@@ -13,12 +13,13 @@ import numpy as np
 # Signed fixed-width ranges used as overflow contracts.  Python ints never
 # wrap, so "overflow" here means "left the contracted range" and is raised,
 # never silently absorbed.
-I64_MIN = -(1 << 63)
-I64_MAX = (1 << 63) - 1
+I64_MAX = (1 << 63) - 1  # also the one input cap, for the CLI and SummatoryEvaluator.eval
 I128_MIN = -(1 << 127)
 I128_MAX = (1 << 127) - 1
 
-U64_MAX = (1 << 64) - 1
+# Elements per numpy pass in every segmented loop: large enough that per-pass
+# dispatch stays far below the per-element work, small enough to bound memory.
+SEGMENT = 1 << 20
 
 
 def wide_check(value: int) -> int:
@@ -163,9 +164,6 @@ def sieve_smallest_factor(limit: int) -> SieveTable:
     return SieveTable(limit=limit, smallest_prime_factor=spf)
 
 
-_SEGMENT = 1 << 22
-
-
 def segmented_prime_count(a: int, b: int) -> int:
     """Exact #{prime p : a <= p <= b} via a segmented sieve."""
     if a > b:
@@ -175,8 +173,8 @@ def segmented_prime_count(a: int, b: int) -> int:
         return 0
     base = primes_up_to(isqrt(b))
     total = 0
-    for start in range(lo, b + 1, _SEGMENT):
-        stop = min(start + _SEGMENT - 1, b)
+    for start in range(lo, b + 1, SEGMENT):
+        stop = min(start + SEGMENT - 1, b)
         flags = np.ones(stop - start + 1, dtype=bool)
         for p in base.tolist():
             first = max(p * p, (start + p - 1) // p * p)
@@ -187,15 +185,26 @@ def segmented_prime_count(a: int, b: int) -> int:
     return total
 
 
-def sum_int64(arr: np.ndarray) -> int:
-    """Exact sum of a nonnegative int64 array (no silent int64 wrap).
+def sum_fits_int64(arr: np.ndarray) -> bool:
+    """True when no partial sum of the int64 array can wrap: max|v| * n <= I64_MAX."""
+    if arr.size == 0:
+        return True
+    top = max(int(arr.max()), -int(arr.min()))
+    return top * arr.size <= I64_MAX
 
-    Splits each element into high/low halves so partial sums fit int64 for
-    arrays of up to 2^30 elements.
+
+def exact_sum(arr: np.ndarray) -> int:
+    """Exact sum of a signed int64 array (no silent int64 wrap).
+
+    When the int64 sum could wrap, each element is split as hi * 2^31 + lo
+    with 0 <= lo < 2^31, and both halves are summed per segment, where they
+    cannot wrap.
     """
+    if sum_fits_int64(arr):
+        return int(np.sum(arr, dtype=np.int64))
     total = 0
-    for i in range(0, arr.size, 1 << 26):
-        chunk = arr[i : i + (1 << 26)]
+    for i in range(0, arr.size, SEGMENT):
+        chunk = arr[i : i + SEGMENT]
         lo = int(np.sum(chunk & 0x7FFFFFFF, dtype=np.int64))
         hi = int(np.sum(chunk >> 31, dtype=np.int64))
         total += (hi << 31) + lo

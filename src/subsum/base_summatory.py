@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import multfn
-from .arith import primes_up_to, sum_int64, wide_check
+from .arith import SEGMENT, exact_sum, primes_up_to, wide_check
 from .multfn import PrimePowerFn
 
 # chi4[(n - 1) % 4] is the non-principal character mod 4 at n: 1, 0, -1, 0.
@@ -106,9 +106,6 @@ def mertens(x: int) -> int:
     return rec(x)
 
 
-_CHUNK = 1 << 24
-
-
 def divisor_summatory(x: int) -> int:
     """T2(x) = sum_{n<=x} tau2(n) by the hyperbola identity, O(sqrt x)."""
     if x < 0:
@@ -117,9 +114,9 @@ def divisor_summatory(x: int) -> int:
         return 0
     r = isqrt(x)
     s = 0
-    for lo in range(1, r + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, r)
-        s += sum_int64(x // np.arange(lo, hi + 1, dtype=np.int64))
+    for lo in range(1, r + 1, SEGMENT):
+        hi = min(lo + SEGMENT - 1, r)
+        s += exact_sum(x // np.arange(lo, hi + 1, dtype=np.int64))
     return wide_check(2 * s - r * r)
 
 

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from statistics import median
 
+from .arith import I64_MAX
 from .combinator import (
     DecelerationError,
     ExprSyntaxError,
@@ -19,8 +20,6 @@ from .combinator import (
     parse_expr,
 )
 from .parity import interval_prime_parity
-
-_INPUT_CAP = 1 << 62
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,8 +37,8 @@ def _bounded(kind: str):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{kind} must be an integer") from None
-        if value < 0 or value > _INPUT_CAP:
-            raise argparse.ArgumentTypeError(f"{kind} must be in 0..2^62")
+        if value < 0 or value > I64_MAX:
+            raise argparse.ArgumentTypeError(f"{kind} must be in 0..2^63-1 ({I64_MAX})")
         return value
 
     return convert

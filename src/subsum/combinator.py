@@ -38,19 +38,14 @@ dedicated `gaussian_dec`, not from the generic tree.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from threading import Lock
 from typing import Union
 
 import numpy as np
 
-from .arith import I64_MAX, ikrt, wide_check
+from .arith import I64_MAX, ikrt, sum_fits_int64, wide_check
 from .base_summatory import ATOM_NAMES, catalog_atom
-from .multfn import (
-    PrimePowerFn,
-    algorithm_m,
-    algorithm_m_sum,
-    convolve_prime_power,
-    stretch_prime_power,
-)
+from .multfn import PrimePowerFn, algorithm_m, convolve_prime_power, stretch_prime_power
 
 Deceleration = Fraction
 
@@ -377,30 +372,26 @@ class _Node:
 
     def __init__(self):
         self.memo: dict[int, int] = {}
-        self._vals: np.ndarray | None = None
-        self._pref = None  # int64 cumsum, or list[int] when sums outgrow 64 bits
+        # (f(0..m), prefix sums) published as one tuple that is only ever
+        # replaced by a longer one; prefix sums are int64 when they cannot
+        # wrap, else Python ints (object dtype).
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._lock = Lock()
 
-    def _ensure_prefix(self, n: int) -> None:
-        if self._vals is not None and self._vals.shape[0] > n:
-            return
-        have = 0 if self._vals is None else self._vals.shape[0] - 1
-        target = max(n, 2 * have, 64)
-        vals = algorithm_m(self.ppf, target).values
-        top = int(np.abs(vals).max(initial=0))
-        if top and top > I64_MAX // (target + 1):
-            acc, pref = 0, [0] * (target + 1)
-            for i in range(1, target + 1):
-                acc += int(vals[i])
-                pref[i] = acc
-        else:
-            pref = np.cumsum(vals, dtype=np.int64)
-        self._vals, self._pref = vals, pref
-
-    def value_at(self, d: int) -> int:
-        return int(self._vals[d])
-
-    def prefix_to(self, d: int) -> int:
-        return int(self._pref[d])
+    def _ensure_prefix(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """A (values, prefix) table covering 0..n; callers must read this one, not self."""
+        table = self._table
+        if table is not None and table[0].shape[0] > n:
+            return table
+        with self._lock:
+            table = self._table
+            if table is not None and table[0].shape[0] > n:
+                return table
+            have = 0 if table is None else table[0].shape[0] - 1
+            vals = algorithm_m(self.ppf, max(n, 2 * have, 64)).values
+            pref = np.cumsum(vals, dtype=np.int64 if sum_fits_int64(vals) else object)
+            self._table = table = (vals, pref)
+        return table
 
     def eval(self, x: int) -> int:
         raise NotImplementedError
@@ -456,16 +447,21 @@ class _ConvNode(_Node):
         if hit is not None:
             return hit
         if x <= self.threshold:
-            self._ensure_prefix(x)
-            value = wide_check(self.prefix_to(x))
+            value = wide_check(int(self._ensure_prefix(x)[1][x]))
         else:
             value = self.eval_identity(x, self.split)
         self.memo[x] = value
         return value
 
-    def _half_sum(self, x: int, side: _Node, k_self: int, other: _Node, k_other: int, cut: int) -> int:
-        """sum_{d <= cut, side(d) != 0} side(d) * Other((x / d^k_self)^(1/k_other))."""
-        side._ensure_prefix(cut)
+    @staticmethod
+    def _half_sum(
+        x: int, side: tuple[np.ndarray, np.ndarray], k_self: int, other: _Node, k_other: int, cut: int
+    ) -> int:
+        """sum_{d <= cut, side(d) != 0} side(d) * Other((x / d^k_self)^(1/k_other)).
+
+        side is the (values, prefix) table of the summed operand, covering 0..cut.
+        """
+        vals, pref = side
         other_eval = other.eval
         total = 0
         d = 1
@@ -474,12 +470,12 @@ class _ConvNode(_Node):
                 # equal-quotient block: x//d constant for d in [d, d_hi]
                 q = x // d
                 d_hi = min(cut, x // q)
-                weight = side.prefix_to(d_hi) - side.prefix_to(d - 1)
+                weight = int(pref[d_hi]) - int(pref[d - 1])
                 if weight:
                     total += weight * other_eval(ikrt(q, k_other))
                 d = d_hi + 1
                 continue
-            v = side.value_at(d)
+            v = int(vals[d])
             if v:
                 y = x // d**k_self
                 total += v * other_eval(y if k_other == 1 else ikrt(y, k_other))
@@ -494,9 +490,11 @@ class _ConvNode(_Node):
             return 0
         d1 = _floor_power(x, c / self.k1)
         d2 = _floor_power(x, (1 - c) / self.k2)
-        total = self._half_sum(x, self.fnode, self.k1, self.gnode, self.k2, d1)
-        total += self._half_sum(x, self.gnode, self.k2, self.fnode, self.k1, d2)
-        cross = self.fnode.prefix_to(d1) * self.gnode.prefix_to(d2) if d1 and d2 else 0
+        ftable = self.fnode._ensure_prefix(d1)
+        gtable = self.gnode._ensure_prefix(d2)
+        total = self._half_sum(x, ftable, self.k1, self.gnode, self.k2, d1)
+        total += self._half_sum(x, gtable, self.k2, self.fnode, self.k1, d2)
+        cross = int(ftable[1][d1]) * int(gtable[1][d2])
         return wide_check(total - cross)
 
 
@@ -526,12 +524,22 @@ def _resolve(expr: SummatoryExpr, threshold: int) -> _Node:
     return build(_canonicalize(expr))
 
 
+def _check_bound(x: int) -> int:
+    if x < 0:
+        raise ValueError("negative bound")
+    if x > I64_MAX:
+        raise OverflowError(f"bound exceeds the input cap 2^63 - 1 = {I64_MAX}")
+    return x
+
+
 class SummatoryEvaluator:
     """A bound expression mapping x to the exact sum of its function over n <= x.
 
     Memo tables are per evaluator and write-once per key, so one evaluator
     amortizes across many arguments; racing writers would only ever store
-    equal values.
+    equal values.  Pointwise prefix tables only grow, each under its node's
+    lock, and every reader uses the table it ensured, so one evaluator can be
+    shared between threads.
     """
 
     def __init__(self, expr: SummatoryExpr | str, small_threshold: int = SMALL_THRESHOLD):
@@ -550,11 +558,7 @@ class SummatoryEvaluator:
         return self._root.ppf
 
     def eval(self, x: int) -> int:
-        if x < 0:
-            raise ValueError("negative bound")
-        if x >= 1 << 63:
-            raise OverflowError("bound exceeds the unsigned 63-bit input cap")
-        return self._root.eval(x)
+        return self._root.eval(_check_bound(x))
 
     def eval_with_split(self, x: int, c: Fraction) -> int:
         """Diagnostic: force the three-term identity with an explicit split c.
@@ -564,19 +568,4 @@ class SummatoryEvaluator:
         """
         if not isinstance(self._root, _ConvNode):
             raise ValueError("expression root is not a convolution")
-        if x < 0:
-            raise ValueError("negative bound")
-        return self._root.eval_identity(x, Fraction(c))
-
-
-def eval_summatory(ev: SummatoryEvaluator, x: int) -> int:
-    """Exact sum over n <= x of the evaluator's bound expression."""
-    return ev.eval(x)
-
-
-def direct_summatory(expr: SummatoryExpr | str, x: int) -> int:
-    """One-shot sieve summation of an expression (no splitting); small x only."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    ev = SummatoryEvaluator(expr)
-    return algorithm_m_sum(ev.pointwise, x)
+        return self._root.eval_identity(_check_bound(x), Fraction(c))

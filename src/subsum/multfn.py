@@ -15,17 +15,12 @@ residue is what gets passed).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import I64_MAX, primes_up_to, wide_check
-
-# numpy would wrap silently; every scatter-multiply below is guarded against
-# leaving the signed-64-bit range instead.
-_ABS_CAP = I64_MAX
+from .arith import I64_MAX, SEGMENT, exact_sum, primes_up_to, wide_check
 
 
 @dataclass(frozen=True)
@@ -34,13 +29,11 @@ class PrimePowerFn:
 
     eval must be deterministic.  eval_at_primes, when given, vectorizes the
     alpha = 1 case over an int64 array of primes; the sieve's residual pass
-    uses it to avoid per-element Python calls.  cost_exponent_m is metadata
-    only (the alpha-exponent of the pointwise evaluation cost).
+    uses it to avoid per-element Python calls.
     """
 
     name: str
     eval: Callable[[int, int], int]
-    cost_exponent_m: Fraction = Fraction(0)
     eval_at_primes: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
@@ -67,14 +60,14 @@ class PrefixValues:
 
 
 def _scatter_multiply(cells: np.ndarray, offsets: np.ndarray, v: int) -> None:
-    """cells[offsets] *= v with an explicit signed-64-bit overflow check."""
+    """cells[offsets] *= v, raising where numpy would silently wrap past I64_MAX."""
     if v == 0:
         cells[offsets] = 0
         return
     got = cells[offsets]
     if v != 1 and v != -1:
         top = int(np.abs(got).max(initial=0))
-        if top > _ABS_CAP // abs(v):
+        if top > I64_MAX // abs(v):
             raise OverflowError(
                 f"pointwise value exceeds signed 64 bits (cell {top} * {v})"
             )
@@ -133,20 +126,11 @@ def _sieve_segment(
         rest = residue[leftover]
         vals = f.values_at_primes(rest)
         got = cells[leftover]
-        caps = _ABS_CAP // np.maximum(np.abs(vals), 1)
+        caps = I64_MAX // np.maximum(np.abs(vals), 1)
         if np.any((np.abs(got) > caps) & (vals != 0)):
             raise OverflowError("pointwise value exceeds signed 64 bits")
         cells[leftover] = got * vals
     return cells
-
-
-def _exact_signed_sum(cells: np.ndarray) -> int:
-    top = int(np.abs(cells).max(initial=0))
-    if top == 0:
-        return 0
-    if top <= _ABS_CAP // max(cells.size, 1):
-        return int(np.sum(cells, dtype=np.int64))
-    return sum(int(v) for v in cells)  # rare: values near the 64-bit cap
 
 
 def algorithm_m(f: PrimePowerFn, x: int) -> PrefixValues:
@@ -160,24 +144,19 @@ def algorithm_m(f: PrimePowerFn, x: int) -> PrefixValues:
     return PrefixValues(x=x, values=values)
 
 
-# Segment floor chosen so numpy dispatch overhead (per segment, per prime)
-# stays far below the per-element work; see the near-linearity benchmark.
-SEGMENT_FLOOR = 1 << 20
-
-
 def algorithm_m_sum(f: PrimePowerFn, x: int) -> int:
-    """Sum_{n<=x} f(n), segment by segment so memory stays O(sqrt(x) + 2^20)."""
+    """Sum_{n<=x} f(n), segment by segment so memory stays O(sqrt(x) + SEGMENT)."""
     if x < 0:
         raise ValueError("negative summation bound")
     if x == 0:
         return 0
     primes = primes_up_to(isqrt(x)).tolist()
     ppcache = _prime_power_values(f, primes, x)
-    seg = max(isqrt(x), SEGMENT_FLOOR)
+    seg = max(isqrt(x), SEGMENT)
     total = 0
     for lo in range(1, x + 1, seg):
         hi = min(lo + seg - 1, x)
-        total += _exact_signed_sum(_sieve_segment(f, lo, hi, primes, ppcache))
+        total += exact_sum(_sieve_segment(f, lo, hi, primes, ppcache))
     return wide_check(total)
 
 
@@ -205,7 +184,6 @@ def convolve_prime_power(f: PrimePowerFn, g: PrimePowerFn) -> PrimePowerFn:
     return PrimePowerFn(
         name=f"({f.name} * {g.name})",
         eval=h_eval,
-        cost_exponent_m=max(f.cost_exponent_m, g.cost_exponent_m) + 1,
         eval_at_primes=h_vec,
     )
 
@@ -227,7 +205,6 @@ def stretch_prime_power(f: PrimePowerFn, k: int) -> PrimePowerFn:
     return PrimePowerFn(
         name=f"{f.name}@{k}",
         eval=s_eval,
-        cost_exponent_m=f.cost_exponent_m,
         eval_at_primes=s_vec,
     )
 

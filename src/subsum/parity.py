@@ -12,36 +12,40 @@ n = 1 contributes the odd value 1 and is handled by an explicit adjustment.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import isqrt
+from threading import Lock
 
 import numpy as np
 
 from .arith import ikrt, is_prime, wide_check
 from .base_summatory import divisor_summatory, mobius_sieve
+from .multfn import TAU2, algorithm_m
 
 # Cumulative divisor counts up to this limit are cached so that the tail of
 # the T2* loop (small x/d^2) becomes one vectorized gather.
 _T2_TABLE_LIMIT = 1 << 18
 
-_t2_table: np.ndarray | None = None
 _mu_cache: np.ndarray | None = None
+_mu_lock = Lock()
 
 
+@cache
 def _t2_prefix_table() -> np.ndarray:
-    global _t2_table
-    if _t2_table is None:
-        counts = np.zeros(_T2_TABLE_LIMIT + 1, dtype=np.int64)
-        for d in range(1, _T2_TABLE_LIMIT + 1):
-            counts[d::d] += 1
-        _t2_table = np.cumsum(counts, dtype=np.int64)
-    return _t2_table
+    """T2(0..2^18); index 0 of the sieved values is zero padding."""
+    return np.cumsum(algorithm_m(TAU2, _T2_TABLE_LIMIT).values, dtype=np.int64)
 
 
 def _mu_up_to(limit: int) -> np.ndarray:
+    """mu(0..n) for some n >= limit; the shared cache is only ever replaced by a longer one."""
     global _mu_cache
-    if _mu_cache is None or _mu_cache.shape[0] <= limit:
-        _mu_cache = mobius_sieve(max(limit, 1 << 16))
-    return _mu_cache
+    mu = _mu_cache
+    if mu is None or mu.shape[0] <= limit:
+        mu = mobius_sieve(max(limit, 1 << 16))
+        with _mu_lock:
+            if _mu_cache is None or _mu_cache.shape[0] < mu.shape[0]:
+                _mu_cache = mu
+    return mu
 
 
 def unitary_divisor_summatory(x: int) -> int:

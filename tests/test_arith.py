@@ -5,6 +5,9 @@ import pytest
 
 from subsum.arith import (
     I128_MAX,
+    I64_MAX,
+    SEGMENT,
+    exact_sum,
     ikrt,
     is_prime,
     isqrt,
@@ -161,3 +164,26 @@ def test_wide_overflow_signaled():
         wide_check(-(1 << 127) - 1)
     assert wide_check(I128_MAX) == I128_MAX
     assert wide_mul(1 << 63, 1 << 63) == 1 << 126
+
+
+def test_exact_sum_where_int64_would_wrap():
+    big = 1 << 62
+    just_past = I64_MAX // 3 + 1  # max|v| * n first exceeds I64_MAX at n = 3
+    cases = [
+        [big] * 4,
+        [big, big, -big, -big, big - 1, -(big - 1), big, 7],
+        [-big] * 3 + [big - 5],
+        [],
+        [just_past] * 3,
+        [-just_past, just_past, -just_past],
+        [just_past] * 2,
+        list(range(-1000, 1001, 7)),
+    ]
+    for values in cases:
+        arr = np.array(values, dtype=np.int64)
+        assert exact_sum(arr) == sum(int(v) for v in values), values
+    rng = random.Random(5)
+    values = [rng.randrange(-(1 << 62), 1 << 62) for _ in range(5000)]
+    assert exact_sum(np.array(values, dtype=np.int64)) == sum(values)
+    # more elements than one segment: the fallback sums segment by segment
+    assert exact_sum(np.full(SEGMENT + 3, big, dtype=np.int64)) == (SEGMENT + 3) * big

@@ -112,3 +112,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["eval"])  # missing arguments
     assert exc.value.code == 2
+
+
+def test_eval_accepts_input_cap(capsys):
+    cap = str((1 << 63) - 1)
+    assert run(capsys, "eval", "one", cap) == (0, cap + "\n", "")
+
+
+def test_eval_rejects_past_input_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "one", str(1 << 63)])
+    assert exc.value.code == 2
+    assert str((1 << 63) - 1) in capsys.readouterr().err

@@ -16,7 +16,6 @@ from subsum.combinator import (
     dec_conv_power,
     dec_convolve,
     dec_generalized,
-    eval_summatory,
     expr_deceleration,
     format_expr,
     gaussian_dec,
@@ -190,7 +189,7 @@ def test_eval_examples():
     assert SummatoryEvaluator("mu * id").eval(10) == 32
     assert SummatoryEvaluator("mu@2 * tau2").eval(10) == 23
     ev = SummatoryEvaluator("mu")
-    assert eval_summatory(ev, 10) == -1
+    assert ev.eval(10) == -1
     assert ev.eval(0) == 0
 
 
@@ -261,6 +260,8 @@ def test_eval_rejects_bad_input():
         ev.eval(-1)
     with pytest.raises(OverflowError):
         ev.eval(1 << 63)
+    with pytest.raises(OverflowError):
+        ev.eval_with_split(1 << 63, Fraction(1, 2))
 
 
 def test_random_trees_against_oracle():

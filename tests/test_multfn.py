@@ -57,14 +57,14 @@ def test_algorithm_m_segmentation_boundaries():
     # crossing segment boundaries must not change anything
     import subsum.multfn as m
 
-    old = m.SEGMENT_FLOOR
+    old = m.SEGMENT
     try:
-        m.SEGMENT_FLOOR = 64
+        m.SEGMENT = 64
         want = int(np.cumsum(algorithm_m(TAU2, 3000).values)[3000])
         assert algorithm_m_sum(TAU2, 3000) == want
         assert algorithm_m_sum(MU, 2999) == int(np.cumsum(algorithm_m(MU, 2999).values)[2999])
     finally:
-        m.SEGMENT_FLOOR = old
+        m.SEGMENT = old
 
 
 def test_cell_overflow_detected():
@@ -87,11 +87,6 @@ def test_convolve_examples():
     assert all(eps.eval(p, a) == 0 for p in (2, 3, 5) for a in range(1, 7))
     phi = convolve_prime_power(ID, MU)
     assert phi.eval(5, 3) == 5**3 - 5**2
-
-
-def test_convolve_cost_metadata():
-    h = convolve_prime_power(ONE, ONE)
-    assert h.cost_exponent_m == ONE.cost_exponent_m + 1
 
 
 def test_convolve_matches_brute_divisor_sum():
