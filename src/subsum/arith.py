@@ -1,4 +1,5 @@
-"""Exact integer primitives: floor roots, checked wide arithmetic, primality, sieves.
+"""Exact integer primitives: floor roots, checked wide arithmetic, primality,
+sieves, and the grow-only table that shares sieved prefixes between threads.
 
 Everything here is pure integer arithmetic.  Floating point appears only as an
 initial guess for k-th roots and is always followed by integer correction
@@ -7,13 +8,15 @@ steps, because rounding near perfect powers is a classic off-by-one source.
 
 from dataclasses import dataclass
 from math import isqrt
+from threading import Lock
+from typing import Any, Callable
 
 import numpy as np
 
 # Signed fixed-width ranges used as overflow contracts.  Python ints never
 # wrap, so "overflow" here means "left the contracted range" and is raised,
 # never silently absorbed.
-I64_MAX = (1 << 63) - 1  # also the one input cap, for the CLI and SummatoryEvaluator.eval
+I64_MAX = (1 << 63) - 1  # also the one input cap (check_bound and the CLI)
 I128_MIN = -(1 << 127)
 I128_MAX = (1 << 127) - 1
 
@@ -29,12 +32,13 @@ def wide_check(value: int) -> int:
     return value
 
 
-def wide_add(a: int, b: int) -> int:
-    return wide_check(a + b)
-
-
-def wide_mul(a: int, b: int) -> int:
-    return wide_check(a * b)
+def check_bound(x: int) -> int:
+    """Return the summation bound x unchanged if 0 <= x <= I64_MAX, else raise."""
+    if x < 0:
+        raise ValueError("negative bound")
+    if x > I64_MAX:
+        raise OverflowError(f"bound exceeds the input cap 2^63 - 1 = {I64_MAX}")
+    return x
 
 
 def ikrt(n: int, k: int = 2) -> int:
@@ -209,3 +213,31 @@ def exact_sum(arr: np.ndarray) -> int:
         hi = int(np.sum(chunk >> 31, dtype=np.int64))
         total += (hi << 31) + lo
     return total
+
+
+class GrowOnly:
+    """A table over 0..n, built on demand, that only ever grows.
+
+    build(m) returns a table covering 0..m.  covering(n) returns the current
+    table when it covers n; otherwise, under one lock, it builds one covering
+    max(n, 2 * have, 64), so that growing costs amortized linear work.  The
+    table is published once, with its coverage, and only ever replaced by a
+    longer one, so it may be shared between threads as long as every reader
+    uses the table covering() returned.
+    """
+
+    def __init__(self, build: Callable[[int], Any]):
+        self._build = build
+        self._state: tuple[int, Any] = (-1, None)
+        self._lock = Lock()
+
+    def covering(self, n: int) -> Any:
+        have, table = self._state
+        if have < n:
+            with self._lock:
+                have, table = self._state
+                if have < n:
+                    have = max(n, 2 * have, 64)
+                    table = self._build(have)
+                    self._state = (have, table)
+        return table

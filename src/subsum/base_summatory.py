@@ -2,8 +2,9 @@
 
 Power sums and character sums close in O(1)/O(period).  The Mertens function
 uses the floor-value recursion M(x) = 1 - sum_{n=2..x} M(x//n) over the
-O(sqrt x) distinct quotients, backed by a sieved prefix table up to ~x^(2/3),
-which is what gives the ~x^(2/3) running time the deceleration table records.
+O(sqrt x) distinct quotients, backed by a prefix table up to ~x^(2/3) taken
+from the one process-wide mu table (MU_TABLE, which parity also reads); that
+is what gives the ~x^(2/3) running time the deceleration table records.
 The divisor summatory uses the Dirichlet hyperbola identity at the sqrt(x)
 split; its catalog deceleration stays 1/3, the best known exponent for it,
 which this package does not implement (see README).
@@ -16,18 +17,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import multfn
-from .arith import SEGMENT, exact_sum, primes_up_to, wide_check
+from .arith import SEGMENT, GrowOnly, exact_sum, primes_up_to, wide_check
 from .multfn import PrimePowerFn
 
 # chi4[(n - 1) % 4] is the non-principal character mod 4 at n: 1, 0, -1, 0.
 CHI4_TABLE = (1, 0, -1, 0)
-
-
-def count_summatory(x: int) -> int:
-    """Sum of 1 over n <= x."""
-    if x < 0:
-        raise ValueError("negative bound")
-    return x
 
 
 def power_summatory(k: int, x: int) -> int:
@@ -69,6 +63,11 @@ def mobius_sieve(limit: int) -> np.ndarray:
     return mu
 
 
+# mu(0..m) for a growing m, shared by every caller in the process.  The lambda
+# looks mobius_sieve up at call time, so a wrapper bound to the module name
+# (a tracer, say) sees each sieve.
+MU_TABLE = GrowOnly(lambda m: mobius_sieve(m))
+
 # Prefix-table threshold: u ~ x^(2/3) balances the sieve against the
 # recursion, which costs O(x / sqrt(u)) block steps overall.
 _MERTENS_FLOOR = 1000
@@ -82,7 +81,7 @@ def mertens(x: int) -> int:
         return 0
     u = max(int(round(x ** (2.0 / 3.0))), _MERTENS_FLOOR)
     u = min(u, x)
-    small = np.cumsum(mobius_sieve(u), dtype=np.int64)
+    small = np.cumsum(MU_TABLE.covering(u)[: u + 1], dtype=np.int64)
     if x <= u:
         return int(small[x])
     memo: dict[int, int] = {}
@@ -127,7 +126,7 @@ class CatalogAtom(NamedTuple):
 
 
 _CATALOG: dict[str, CatalogAtom] = {
-    "one": CatalogAtom(multfn.ONE, count_summatory, Fraction(0)),
+    "one": CatalogAtom(multfn.ONE, lambda x: power_summatory(0, x), Fraction(0)),
     "id": CatalogAtom(multfn.ID, lambda x: power_summatory(1, x), Fraction(0)),
     "id2": CatalogAtom(multfn.ID2, lambda x: power_summatory(2, x), Fraction(0)),
     "id3": CatalogAtom(multfn.ID3, lambda x: power_summatory(3, x), Fraction(0)),

@@ -38,12 +38,11 @@ dedicated `gaussian_dec`, not from the generic tree.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
 from typing import Union
 
 import numpy as np
 
-from .arith import I64_MAX, ikrt, sum_fits_int64, wide_check
+from .arith import GrowOnly, check_bound, ikrt, sum_fits_int64, wide_check
 from .base_summatory import ATOM_NAMES, catalog_atom
 from .multfn import PrimePowerFn, algorithm_m, convolve_prime_power, stretch_prime_power
 
@@ -67,10 +66,7 @@ def _as_dec(value) -> Fraction:
 
 def dec_convolve(a: Fraction, b: Fraction) -> Fraction:
     """Deceleration of f * g from those of f and g; requires a + b < 2."""
-    a, b = _as_dec(a), _as_dec(b)
-    if a + b >= 2:
-        raise DecelerationError("convolution rule requires a + b < 2")
-    return (1 - a * b) / (2 - a - b)
+    return dec_generalized(a, 1, b, 1)
 
 
 def dec_conv_power(a: Fraction, k: int) -> Fraction:
@@ -372,26 +368,13 @@ class _Node:
 
     def __init__(self):
         self.memo: dict[int, int] = {}
-        # (f(0..m), prefix sums) published as one tuple that is only ever
-        # replaced by a longer one; prefix sums are int64 when they cannot
-        # wrap, else Python ints (object dtype).
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
-        self._lock = Lock()
+        # (f(0..m), prefix sums) for a growing m: table.covering(n)
+        self.table = GrowOnly(self._sieve)
 
-    def _ensure_prefix(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """A (values, prefix) table covering 0..n; callers must read this one, not self."""
-        table = self._table
-        if table is not None and table[0].shape[0] > n:
-            return table
-        with self._lock:
-            table = self._table
-            if table is not None and table[0].shape[0] > n:
-                return table
-            have = 0 if table is None else table[0].shape[0] - 1
-            vals = algorithm_m(self.ppf, max(n, 2 * have, 64)).values
-            pref = np.cumsum(vals, dtype=np.int64 if sum_fits_int64(vals) else object)
-            self._table = table = (vals, pref)
-        return table
+    def _sieve(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """f(0..m) and its prefix sums: int64 when they cannot wrap, else Python ints."""
+        vals = algorithm_m(self.ppf, m).values
+        return vals, np.cumsum(vals, dtype=np.int64 if sum_fits_int64(vals) else object)
 
     def eval(self, x: int) -> int:
         raise NotImplementedError
@@ -429,11 +412,10 @@ class _StretchNode(_Node):
 
 
 class _ConvNode(_Node):
-    def __init__(self, fnode: _Node, k1: int, gnode: _Node, k2: int, threshold: int):
+    def __init__(self, fnode: _Node, k1: int, gnode: _Node, k2: int):
         super().__init__()
         self.fnode, self.k1 = fnode, k1
         self.gnode, self.k2 = gnode, k2
-        self.threshold = threshold
         self.ppf = convolve_prime_power(
             stretch_prime_power(fnode.ppf, k1), stretch_prime_power(gnode.ppf, k2)
         )
@@ -446,8 +428,8 @@ class _ConvNode(_Node):
         hit = self.memo.get(x)
         if hit is not None:
             return hit
-        if x <= self.threshold:
-            value = wide_check(int(self._ensure_prefix(x)[1][x]))
+        if x <= SMALL_THRESHOLD:
+            value = wide_check(int(self.table.covering(x)[1][x]))
         else:
             value = self.eval_identity(x, self.split)
         self.memo[x] = value
@@ -490,15 +472,15 @@ class _ConvNode(_Node):
             return 0
         d1 = _floor_power(x, c / self.k1)
         d2 = _floor_power(x, (1 - c) / self.k2)
-        ftable = self.fnode._ensure_prefix(d1)
-        gtable = self.gnode._ensure_prefix(d2)
+        ftable = self.fnode.table.covering(d1)
+        gtable = self.gnode.table.covering(d2)
         total = self._half_sum(x, ftable, self.k1, self.gnode, self.k2, d1)
         total += self._half_sum(x, gtable, self.k2, self.fnode, self.k1, d2)
         cross = int(ftable[1][d1]) * int(gtable[1][d2])
         return wide_check(total - cross)
 
 
-def _resolve(expr: SummatoryExpr, threshold: int) -> _Node:
+def _resolve(expr: SummatoryExpr) -> _Node:
     cache: dict[SummatoryExpr, _Node] = {}
 
     def build(e: SummatoryExpr) -> _Node:
@@ -513,23 +495,15 @@ def _resolve(expr: SummatoryExpr, threshold: int) -> _Node:
             base = build(e.inner)
             node = base
             for _ in range(e.k - 1):
-                node = _ConvNode(node, 1, base, 1, threshold)
+                node = _ConvNode(node, 1, base, 1)
         else:
             f, k1 = _hoist(e.left)
             g, k2 = _hoist(e.right)
-            node = _ConvNode(build(f), k1, build(g), k2, threshold)
+            node = _ConvNode(build(f), k1, build(g), k2)
         cache[e] = node
         return node
 
     return build(_canonicalize(expr))
-
-
-def _check_bound(x: int) -> int:
-    if x < 0:
-        raise ValueError("negative bound")
-    if x > I64_MAX:
-        raise OverflowError(f"bound exceeds the input cap 2^63 - 1 = {I64_MAX}")
-    return x
 
 
 class SummatoryEvaluator:
@@ -537,17 +511,15 @@ class SummatoryEvaluator:
 
     Memo tables are per evaluator and write-once per key, so one evaluator
     amortizes across many arguments; racing writers would only ever store
-    equal values.  Pointwise prefix tables only grow, each under its node's
-    lock, and every reader uses the table it ensured, so one evaluator can be
-    shared between threads.
+    equal values.  Pointwise prefix tables are `GrowOnly`, so one evaluator
+    can be shared between threads.
     """
 
-    def __init__(self, expr: SummatoryExpr | str, small_threshold: int = SMALL_THRESHOLD):
+    def __init__(self, expr: SummatoryExpr | str):
         if isinstance(expr, str):
             expr = parse_expr(expr)
         self.expr = expr
-        self.small_threshold = small_threshold
-        self._root = _resolve(expr, small_threshold)
+        self._root = _resolve(expr)
 
     @property
     def deceleration(self) -> Fraction:
@@ -558,7 +530,7 @@ class SummatoryEvaluator:
         return self._root.ppf
 
     def eval(self, x: int) -> int:
-        return self._root.eval(_check_bound(x))
+        return self._root.eval(check_bound(x))
 
     def eval_with_split(self, x: int, c: Fraction) -> int:
         """Diagnostic: force the three-term identity with an explicit split c.
@@ -568,4 +540,4 @@ class SummatoryEvaluator:
         """
         if not isinstance(self._root, _ConvNode):
             raise ValueError("expression root is not a convolution")
-        return self._root.eval_identity(_check_bound(x), Fraction(c))
+        return self._root.eval_identity(check_bound(x), Fraction(c))

@@ -14,38 +14,22 @@ n = 1 contributes the odd value 1 and is handled by an explicit adjustment.
 from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
-from threading import Lock
 
 import numpy as np
 
-from .arith import ikrt, is_prime, wide_check
-from .base_summatory import divisor_summatory, mobius_sieve
+from .arith import check_bound, ikrt, is_prime, wide_check
+from .base_summatory import MU_TABLE, divisor_summatory
 from .multfn import TAU2, algorithm_m
 
 # Cumulative divisor counts up to this limit are cached so that the tail of
 # the T2* loop (small x/d^2) becomes one vectorized gather.
 _T2_TABLE_LIMIT = 1 << 18
 
-_mu_cache: np.ndarray | None = None
-_mu_lock = Lock()
-
 
 @cache
 def _t2_prefix_table() -> np.ndarray:
     """T2(0..2^18); index 0 of the sieved values is zero padding."""
     return np.cumsum(algorithm_m(TAU2, _T2_TABLE_LIMIT).values, dtype=np.int64)
-
-
-def _mu_up_to(limit: int) -> np.ndarray:
-    """mu(0..n) for some n >= limit; the shared cache is only ever replaced by a longer one."""
-    global _mu_cache
-    mu = _mu_cache
-    if mu is None or mu.shape[0] <= limit:
-        mu = mobius_sieve(max(limit, 1 << 16))
-        with _mu_lock:
-            if _mu_cache is None or _mu_cache.shape[0] < mu.shape[0]:
-                _mu_cache = mu
-    return mu
 
 
 def unitary_divisor_summatory(x: int) -> int:
@@ -59,7 +43,7 @@ def unitary_divisor_summatory(x: int) -> int:
     if x == 0:
         return 0
     r = isqrt(x)
-    mu = _mu_up_to(r)
+    mu = MU_TABLE.covering(r)
     table = _t2_prefix_table()
     d_table = isqrt(x // _T2_TABLE_LIMIT) + 1  # x // d^2 < table limit from here on
     total = 0
@@ -110,6 +94,7 @@ def interval_prime_parity(a: int, b: int) -> ParityReport:
     """Decide whether [a, b] contains an odd number of primes."""
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
+    check_bound(b)
     t2star_b = unitary_divisor_summatory(b)
     t2star_a1 = unitary_divisor_summatory(a - 1)
     one_adjustment = 1 if a == 1 else 0

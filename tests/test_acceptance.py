@@ -15,6 +15,7 @@ import pytest
 
 from subsum.arith import ikrt, segmented_prime_count
 from subsum.base_summatory import mertens
+from subsum.cli import fitted_exponent
 from subsum.combinator import (
     Atom,
     ConvPower,
@@ -31,16 +32,6 @@ from subsum.oracle import brute_summatory_batch, mobius_values
 from subsum.parity import interval_prime_parity, unitary_divisor_summatory
 
 _SEED = 20260808
-
-
-def _fitted_exponent(points):
-    logs = [(math.log(x), math.log(t)) for x, t in points]
-    n = len(logs)
-    sx = sum(u for u, _ in logs)
-    sy = sum(v for _, v in logs)
-    sxx = sum(u * u for u, _ in logs)
-    sxy = sum(u * v for u, v in logs)
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
 def _best_time(fn, repeats=2):
@@ -166,7 +157,7 @@ def test_criterion_5_mertens_scaling_and_values():
     for x, want in known.items():
         assert mertens(x) == want, (x, mertens(x), want)
     points = [(x, _best_time(lambda x=x: mertens(x))) for x in (10**7, 10**8, 10**9)]
-    slope = _fitted_exponent(points)
+    slope = fitted_exponent(points)
     assert 0.40 <= slope <= 0.80, (slope, points)
     print(f"\nACCEPTANCE 5 PASS: M(1e4)={known[10**4]}, M(1e5)={known[10**5]}, "
           f"M(1e6)={known[10**6]} exact; fitted exponent {slope:.3f} in [0.40, 0.80]")
@@ -179,7 +170,7 @@ def test_criterion_6_algorithm_m_near_linearity():
         assert algorithm_m_sum(TAU2, x) == want, x
     points = [(x, _best_time(lambda x=x: algorithm_m_sum(TAU2, x)))
               for x in (10**6, 10**7, 10**8)]
-    slope = _fitted_exponent(points)
+    slope = fitted_exponent(points)
     assert 0.90 <= slope <= 1.15, (slope, points)
     print(f"\nACCEPTANCE 6 PASS: sieve summation exact at 4 checkpoints <= 1e6; "
           f"fitted exponent {slope:.3f} in [0.90, 1.15]")

@@ -9,7 +9,6 @@ from subsum.base_summatory import (
     CHI4_TABLE,
     catalog_atom,
     character_summatory,
-    count_summatory,
     divisor_summatory,
     mertens,
     mobius_sieve,
@@ -18,16 +17,12 @@ from subsum.base_summatory import (
 from subsum.oracle import mobius_values
 
 
-def test_count_summatory():
-    assert count_summatory(0) == 0
-    assert count_summatory(10) == 10
-    assert count_summatory(10**12) == 10**12
-
-
 def test_power_summatory_examples():
     assert power_summatory(1, 10) == 55
     assert power_summatory(2, 4) == 30
     assert power_summatory(0, 7) == 7
+    assert power_summatory(0, 0) == 0
+    assert power_summatory(0, 10**12) == 10**12
     assert power_summatory(3, 3) == 36
 
 

@@ -92,6 +92,12 @@ def test_parity_rejects_bad_interval():
         interval_prime_parity(0, 4)
 
 
+def test_parity_rejects_past_input_cap():
+    # Raised before any sieve: mu up to isqrt(2^63) would need 3e9 cells.
+    with pytest.raises(OverflowError):
+        interval_prime_parity(2**63, 2**63 + 10)
+
+
 def test_congruence_mod4_random_intervals():
     rng = random.Random(12)
     for _ in range(150):

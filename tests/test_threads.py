@@ -1,15 +1,48 @@
-"""Sharing one evaluator, and the parity module caches, between threads."""
+"""Sharing one evaluator, and the process-wide mu table, between threads."""
 
 import random
 import sys
 import threading
+import time
+from itertools import accumulate
 
 import numpy as np
+import pytest
 
+import subsum.base_summatory
 import subsum.parity
-from subsum.arith import segmented_prime_count
+from subsum.arith import GrowOnly, segmented_prime_count
+from subsum.base_summatory import mertens, mobius_sieve
 from subsum.combinator import SummatoryEvaluator
 from subsum.multfn import algorithm_m
+from subsum.oracle import mobius_values
+
+
+@pytest.fixture
+def empty_mu_table(monkeypatch):
+    """A fresh, empty shared mu table for Mertens and parity; the threads grow it."""
+    table = GrowOnly(mobius_sieve)
+    monkeypatch.setattr(subsum.base_summatory, "MU_TABLE", table)
+    monkeypatch.setattr(subsum.parity, "MU_TABLE", table)
+
+
+def _with_fast_switching(fn):
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fn()
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _parity_intervals():
+    """Intervals whose right ends need mu tables from 31 to 3.2e5 cells."""
+    rng = random.Random(11)
+    intervals = []
+    for a_hi in (10**3, 10**9, 10**10, 3 * 10**10, 10**11):
+        a = rng.randrange(a_hi // 2, a_hi)
+        intervals.append((a, a + rng.randrange(0, 20000)))
+    return intervals
 
 
 def _run_threads(n_threads, work):
@@ -34,15 +67,41 @@ def _run_threads(n_threads, work):
         raise errors[0]
 
 
+def test_grow_only_across_threads():
+    # A slow build widens the window in which racing growers could both build,
+    # or publish a shorter table after a longer one.  Under the one lock every
+    # build at least doubles the last, and every reader gets a covering table.
+    def build(m):
+        built.append(m)
+        time.sleep(1e-3)
+        return np.arange(m + 1)
+
+    sizes = range(100, 100001, 100)
+
+    def trials():
+        for trial in range(5):
+            built.clear()
+            table = GrowOnly(build)
+
+            def work(i):
+                for n in random.Random(trial * 100 + i).sample(sizes, 40):
+                    assert len(table.covering(n)) > n, n
+
+            _run_threads(8, work)
+            assert all(b >= 2 * a for a, b in zip(built, built[1:])), built
+
+    built = []
+    _with_fast_switching(trials)
+
+
 def test_shared_evaluator_across_threads():
     # Prefix tables grow while other threads read them; a reader must never
     # see a table shorter than the one it asked for.
     xs = random.Random(7).sample(range(1000, 200001), 320)
     prefix = np.cumsum(algorithm_m(SummatoryEvaluator("tau2 * id").pointwise, 200000).values)
     want = {x: int(prefix[x]) for x in xs}
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+
+    def trials():
         for trial in range(5):
             ev = SummatoryEvaluator("tau2 * id")
 
@@ -52,26 +111,35 @@ def test_shared_evaluator_across_threads():
                     assert ev.eval(x) == want[x], x
 
             _run_threads(8, work)
-    finally:
-        sys.setswitchinterval(old)
+
+    _with_fast_switching(trials)
 
 
-def test_interval_prime_parity_across_threads(monkeypatch):
-    monkeypatch.setattr(subsum.parity, "_mu_cache", None)  # the threads grow it from empty
-    rng = random.Random(11)
-    intervals = []
-    for a_hi in (10**3, 10**9, 10**10, 3 * 10**10, 10**11):
-        a = rng.randrange(a_hi // 2, a_hi)
-        intervals.append((a, a + rng.randrange(0, 20000)))
+def test_interval_prime_parity_across_threads(empty_mu_table):
+    intervals = _parity_intervals()
     want = {ab: segmented_prime_count(*ab) % 2 for ab in intervals}
 
     def work(i):
         for ab in intervals[i:] + intervals[:i]:
             assert subsum.parity.interval_prime_parity(*ab).parity == want[ab], ab
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _run_threads(4, work)
-    finally:
-        sys.setswitchinterval(old)
+    _with_fast_switching(lambda: _run_threads(4, work))
+
+
+def test_mertens_and_parity_share_mu_table_across_threads(empty_mu_table):
+    # Mertens asks for short mu prefixes while parity grows the same table.
+    limit = 3 * 10**5
+    want_m = list(accumulate(mobius_values(limit)))
+    xs = random.Random(5).sample(range(1, limit + 1), 120)
+    intervals = _parity_intervals()
+    want_p = {ab: segmented_prime_count(*ab) % 2 for ab in intervals}
+
+    def work(i):
+        if i % 2:
+            for ab in intervals[i:] + intervals[:i]:
+                assert subsum.parity.interval_prime_parity(*ab).parity == want_p[ab], ab
+        else:
+            for x in xs[i // 2 :: 2]:
+                assert mertens(x) == want_m[x], x
+
+    _with_fast_switching(lambda: _run_threads(4, work))
