@@ -17,12 +17,18 @@ from subsum.base_summatory import (
 from subsum.oracle import mobius_values
 
 
+def test_count_summatory():
+    # the counting sum #{n <= x} is the catalog atom "one", i.e. power_summatory(0, x)
+    count = catalog_atom("one").summatory
+    for x in (0, 10, 10**12):
+        assert count(x) == x
+        assert power_summatory(0, x) == x
+
+
 def test_power_summatory_examples():
     assert power_summatory(1, 10) == 55
     assert power_summatory(2, 4) == 30
     assert power_summatory(0, 7) == 7
-    assert power_summatory(0, 0) == 0
-    assert power_summatory(0, 10**12) == 10**12
     assert power_summatory(3, 3) == 36
 
 
