@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import multfn
-from .arith import SEGMENT, GrowOnly, exact_sum, primes_up_to, wide_check
+from .arith import SEGMENT, GrowOnly, exact_sum, ikrt, primes_up_to, wide_check
 from .multfn import PrimePowerFn
 
 # chi4[(n - 1) % 4] is the non-principal character mod 4 at n: 1, 0, -1, 0.
@@ -79,7 +79,7 @@ def mertens(x: int) -> int:
         raise ValueError("negative bound")
     if x == 0:
         return 0
-    u = max(int(round(x ** (2.0 / 3.0))), _MERTENS_FLOOR)
+    u = max(ikrt(x * x, 3), _MERTENS_FLOOR)
     u = min(u, x)
     small = np.cumsum(MU_TABLE.covering(u)[: u + 1], dtype=np.int64)
     if x <= u:

@@ -40,26 +40,24 @@ def fitted_exponent(points) -> float:
     return sum((u - mu) * (v - mv) for u, v in zip(us, vs)) / sum((u - mu) ** 2 for u in us)
 
 
-def _bounded(kind: str):
+def _bounded(kind: str, low: int = 0):
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{kind} must be an integer") from None
-        if value < 0 or value > I64_MAX:
-            raise argparse.ArgumentTypeError(f"{kind} must be in 0..2^63-1 ({I64_MAX})")
+        if value < low or value > I64_MAX:
+            raise argparse.ArgumentTypeError(f"{kind} must be in {low}..2^63-1 ({I64_MAX})")
         return value
 
     return convert
 
 
 def _cmd_eval(args) -> int:
-    expr = parse_expr(args.expr)
-    ev = SummatoryEvaluator(expr)
-    value = ev.eval(args.x)
-    print(value)
+    ev = SummatoryEvaluator(args.expr)
+    print(ev.eval(args.x))
     if args.dec:
-        print(_fmt_dec(expr_deceleration(expr)))
+        print(_fmt_dec(ev.deceleration))
     return EXIT_OK
 
 
@@ -133,7 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time an expression at several points (CSV)")
     p.add_argument("expr")
     p.add_argument("points", nargs="+", type=_bounded("point"))
-    p.add_argument("--reps", type=int, default=3, help="repetitions per point (median)")
+    p.add_argument(
+        "--reps", type=_bounded("reps", 1), default=3, help="repetitions per point (median)"
+    )
     p.add_argument("--fit", action="store_true", help="append a log-log fitted exponent")
     p.set_defaults(run=_cmd_bench)
 

@@ -27,13 +27,16 @@ Expression grammar ('*' convolution, '@k' stretch, '^k' convolution power;
 
 NAME is one of the base catalog atoms: one, id, id2, id3, chi4, mu, tau2.
 
-A k-fold power of `one` is replaced by its divisor-function decomposition
-(tau2 pairs, one trailing `one` if k is odd) before anything else happens;
-the pointwise function is identical and the deceleration then agrees with
-the closed form for multidimensional divisor functions.  Other trees are
-computed exactly as written, so their symbolic deceleration is grouping
-dependent; the jointly optimized Gaussian-divisor values come from the
-dedicated `gaussian_dec`, not from the generic tree.
+A k-fold power of `one` is rewritten as the power tau2^(k//2), times `one`
+when k is odd, before anything else happens; the pointwise function is
+identical and the deceleration then agrees with the closed form for
+multidimensional divisor functions.  Every power f^k is evaluated by
+repeated squaring, as f^(k//2) * f^(k//2) times f^(k mod 2), sharing the
+half: O(log k) nodes, and the same deceleration as any grouping of the k
+factors.  An expression's deceleration is the one its resolved root node
+carries.  Other trees are computed exactly as written, so their symbolic
+deceleration is grouping dependent; the jointly optimized Gaussian-divisor
+values come from the dedicated `gaussian_dec`, not from the generic tree.
 """
 
 from dataclasses import dataclass
@@ -270,17 +273,8 @@ def format_expr(expr: SummatoryExpr) -> str:
     return f"{left} * {right}"
 
 
-def _tau_chain(pairs: int, odd: bool) -> SummatoryExpr:
-    node: SummatoryExpr = Atom("tau2")
-    for _ in range(pairs - 1):
-        node = Convolve(node, Atom("tau2"))
-    if odd:
-        node = Convolve(node, Atom("one"))
-    return node
-
-
 def _canonicalize(expr: SummatoryExpr) -> SummatoryExpr:
-    """Drop unit stretches/powers and decompose one^k into tau2 pairs."""
+    """Drop unit stretches/powers; write one^k as tau2^(k//2), times one if k is odd."""
     if isinstance(expr, Atom):
         return expr
     if isinstance(expr, Stretch):
@@ -292,7 +286,8 @@ def _canonicalize(expr: SummatoryExpr) -> SummatoryExpr:
     if expr.k == 1:
         return inner
     if inner == Atom("one"):
-        return _tau_chain(expr.k // 2, odd=bool(expr.k % 2))
+        pairs = _canonicalize(ConvPower(Atom("tau2"), expr.k // 2))
+        return Convolve(pairs, inner) if expr.k % 2 else pairs
     return ConvPower(inner, expr.k)
 
 
@@ -304,25 +299,8 @@ def _hoist(expr: SummatoryExpr) -> tuple[SummatoryExpr, int]:
 
 
 def expr_deceleration(expr: SummatoryExpr) -> Fraction:
-    """Symbolic deceleration of the tree as written (bottom-up composition)."""
-
-    def walk(e: SummatoryExpr, path: str) -> Fraction:
-        if isinstance(e, Atom):
-            return catalog_atom(e.name).deceleration
-        if isinstance(e, Stretch):
-            return walk(e.inner, path + ".inner") / e.k
-        if isinstance(e, ConvPower):
-            return dec_conv_power(walk(e.inner, path + ".inner"), e.k)
-        f, k1 = _hoist(e.left)
-        g, k2 = _hoist(e.right)
-        a = walk(f, path + ".left")
-        b = walk(g, path + ".right")
-        try:
-            return dec_generalized(a, k1, b, k2)
-        except DecelerationError as exc:
-            raise DecelerationError(f"{exc} at node {path}") from None
-
-    return walk(_canonicalize(expr), "root")
+    """Symbolic deceleration of the tree as written: that of its resolved root."""
+    return _resolve(expr).dec
 
 
 _DERIVED_TEXT = {
@@ -492,10 +470,11 @@ def _resolve(expr: SummatoryExpr) -> _Node:
         elif isinstance(e, Stretch):
             node = _StretchNode(build(e.inner), e.k)
         elif isinstance(e, ConvPower):
-            base = build(e.inner)
-            node = base
-            for _ in range(e.k - 1):
-                node = _ConvNode(node, 1, base, 1)
+            # f^k = f^(k//2) * f^(k//2) (* f when k is odd): O(log k) nodes
+            half = build(e.inner if e.k < 4 else ConvPower(e.inner, e.k // 2))
+            node = _ConvNode(half, 1, half, 1)
+            if e.k % 2:
+                node = _ConvNode(node, 1, build(e.inner), 1)
         else:
             f, k1 = _hoist(e.left)
             g, k2 = _hoist(e.right)

@@ -12,24 +12,20 @@ n = 1 contributes the odd value 1 and is handled by an explicit adjustment.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import isqrt
 
 import numpy as np
 
-from .arith import check_bound, ikrt, is_prime, wide_check
+from .arith import SEGMENT, GrowOnly, check_bound, ikrt, is_prime, wide_check
 from .base_summatory import MU_TABLE, divisor_summatory
 from .multfn import TAU2, algorithm_m
 
-# Cumulative divisor counts up to this limit are cached so that the tail of
-# the T2* loop (small x/d^2) becomes one vectorized gather.
+# Cumulative divisor counts up to this limit are kept so that the tail of the
+# T2* loop (small x/d^2) is gathered from a table, SEGMENT terms at a time.
 _T2_TABLE_LIMIT = 1 << 18
 
-
-@cache
-def _t2_prefix_table() -> np.ndarray:
-    """T2(0..2^18); index 0 of the sieved values is zero padding."""
-    return np.cumsum(algorithm_m(TAU2, _T2_TABLE_LIMIT).values, dtype=np.int64)
+# T2(0..m); index 0 of the sieved values is zero padding.
+_T2_TABLE = GrowOnly(lambda m: np.cumsum(algorithm_m(TAU2, m).values, dtype=np.int64))
 
 
 def unitary_divisor_summatory(x: int) -> int:
@@ -40,22 +36,19 @@ def unitary_divisor_summatory(x: int) -> int:
     """
     if x < 0:
         raise ValueError("negative bound")
-    if x == 0:
-        return 0
     r = isqrt(x)
     mu = MU_TABLE.covering(r)
-    table = _t2_prefix_table()
+    table = _T2_TABLE.covering(_T2_TABLE_LIMIT)
     d_table = isqrt(x // _T2_TABLE_LIMIT) + 1  # x // d^2 < table limit from here on
     total = 0
     for d in range(1, min(d_table, r + 1)):
         m = int(mu[d])
         if m:
             total += m * divisor_summatory(x // (d * d))
-    if d_table <= r:
-        ds = np.arange(d_table, r + 1, dtype=np.int64)
-        mvals = mu[ds].astype(np.int64)
-        args = x // (ds * ds)
-        total += int(np.sum(mvals * table[args]))
+    for lo in range(d_table, r + 1, SEGMENT):
+        hi = min(lo + SEGMENT, r + 1)
+        ds = np.arange(lo, hi, dtype=np.int64)
+        total += int(np.dot(mu[lo:hi].astype(np.int64), table[x // (ds * ds)]))
     return wide_check(total)
 
 

@@ -86,6 +86,10 @@ def test_mertens_against_linear_sieve():
     rng = random.Random(5)
     for x in [rng.randrange(2000, 10**5) for _ in range(120)] + [10**4, 10**5]:
         assert mertens(x) == int(prefix[x]), x
+    # the table holds M up to floor(x^(2/3)) = m^2 exactly at x = m^3
+    for m in range(11, 47):
+        for x in (m**3 - 1, m**3, m**3 + 1):
+            assert mertens(x) == int(prefix[x]), x
 
 
 def test_mobius_sieve_matches_linear_sieve():

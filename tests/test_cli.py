@@ -108,6 +108,14 @@ def test_bench_non_monotone(capsys):
     assert "strictly increasing" in err
 
 
+def test_bench_rejects_zero_reps(capsys):
+    for reps in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--reps", reps, "one", "100"])
+        assert exc.value.code == 2
+        assert "--reps" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["eval"])  # missing arguments

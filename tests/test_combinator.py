@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,7 +24,7 @@ from subsum.combinator import (
     parse_expr,
     tau_k_dec,
 )
-from subsum.multfn import algorithm_m_sum
+from subsum.multfn import PrimePowerFn, algorithm_m_sum
 from subsum.oracle import brute_summatory_batch
 
 
@@ -292,3 +293,46 @@ def test_random_trees_against_oracle():
             continue
         for want, x in zip(brute, xs):
             assert ev.eval(x) == want, (format_expr(tree), x)
+
+
+def _chi4(p):
+    return (0, 1, 0, -1)[p % 4]
+
+
+# Powers f^k with their closed forms at p^a, built without the convolution
+# rule: mu^k(p^a) = (-1)^a C(k, a), one^k(p^a) = C(a + k - 1, k - 1), and
+# (one * chi4)^k = one^k * chi4^k with chi4 completely multiplicative.
+_POWER_CLOSED_FORMS = {
+    "mu^4": lambda p, a: (-1) ** a * comb(4, a),
+    "mu^5": lambda p, a: (-1) ** a * comb(5, a),
+    "mu^64": lambda p, a: (-1) ** a * comb(64, a),
+    "one^9": lambda p, a: comb(a + 8, 8),
+    "mu@2^5": lambda p, a: 0 if a % 2 else (-1) ** (a // 2) * comb(5, a // 2),
+    "(one * chi4)^4": lambda p, a: sum(
+        comb(i + 3, 3) * comb(a - i + 3, 3) * _chi4(p) ** (a - i) for i in range(a + 1)
+    ),
+}
+
+
+def test_powers_by_squaring_against_oracle():
+    xs = [1, 2, 63, 999, 1000, 1001, 4096, 9973, 10**4]
+    evs = [SummatoryEvaluator(text) for text in _POWER_CLOSED_FORMS]
+    closed = [PrimePowerFn(text, fn) for text, fn in _POWER_CLOSED_FORMS.items()]
+    brute = brute_summatory_batch(closed + [ev.pointwise for ev in evs], xs)
+    for i, (text, ev) in enumerate(zip(_POWER_CLOSED_FORMS, evs)):
+        assert brute[len(evs) + i] == brute[i], text  # the resolved descriptor
+        for want, x in zip(brute[i], xs):
+            assert ev.eval(x) == want, (text, x)
+
+
+def test_power_resolves_to_logarithmic_tree():
+    from subsum.combinator import _ConvNode
+
+    nodes, stack = set(), [SummatoryEvaluator("mu^1000")._root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _ConvNode) and id(node) not in nodes:
+            nodes.add(id(node))
+            stack += [node.fnode, node.gnode]
+    assert len(nodes) <= 20
+    assert expr_deceleration(parse_expr("mu^1000000")) == dec_conv_power(Fraction(2, 3), 10**6)

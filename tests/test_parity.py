@@ -37,6 +37,15 @@ def test_unitary_divisor_summatory_vs_evaluator():
         assert unitary_divisor_summatory(x) == ev.eval(x), x
 
 
+def test_unitary_divisor_summatory_tail_in_segments(monkeypatch):
+    # The vectorized tail d in [d_table, isqrt(x)] runs in SEGMENT-sized
+    # chunks: a 7-element segment splits it into up to 781 chunks here.
+    monkeypatch.setattr("subsum.parity.SEGMENT", 7)
+    ev = SummatoryEvaluator("mu@2 * tau2")
+    for x in (0, 1, 1000, 31**2, 10**6 + 3, 3 * 10**7 + 1):
+        assert unitary_divisor_summatory(x) == ev.eval(x), x
+
+
 def test_prime_power_counts_examples():
     assert prime_power_counts(10, 20) == [(4, 1)]
     assert prime_power_counts(2, 3) == []
