@@ -189,12 +189,14 @@ def segmented_prime_count(a: int, b: int) -> int:
     return total
 
 
+def max_abs(arr: np.ndarray) -> int:
+    """max|v| over a non-empty int64 array, from its max and min (no |arr| temporary)."""
+    return max(int(arr.max()), -int(arr.min()))
+
+
 def sum_fits_int64(arr: np.ndarray) -> bool:
     """True when no partial sum of the int64 array can wrap: max|v| * n <= I64_MAX."""
-    if arr.size == 0:
-        return True
-    top = max(int(arr.max()), -int(arr.min()))
-    return top * arr.size <= I64_MAX
+    return arr.size == 0 or max_abs(arr) * arr.size <= I64_MAX
 
 
 def exact_sum(arr: np.ndarray) -> int:

@@ -7,11 +7,11 @@ such descriptor in near-linear time, plus the two descriptor combinators
 s -> k*s).
 
 The sieve walks primes p <= sqrt(x) and, for each exact power p^alpha || n,
-multiplies f(p^alpha) into cell n while dividing p^alpha out of a residue
-array.  Whatever residue is left afterwards is a single prime > sqrt(x); the
-final pass evaluates f at that residual prime (classic array formulations
-sometimes write f(n, 1) here, but f is only defined at primes, so the
-residue is what gets passed).
+multiplies f(p^alpha) into cell n while multiplying p^alpha into a product of
+stripped prime powers.  n divided by that product is 1 or a single prime
+> sqrt(x); the final pass evaluates f at that residual prime (classic array
+formulations sometimes write f(n, 1) here, but f is only defined at primes,
+so the residue is what gets passed).
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import I64_MAX, SEGMENT, exact_sum, primes_up_to, wide_check
+from .arith import I64_MAX, SEGMENT, exact_sum, max_abs, primes_up_to, wide_check
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,9 @@ class PrimePowerFn:
     """A multiplicative function as a rule (p, alpha) -> f(p^alpha).
 
     eval must be deterministic.  eval_at_primes, when given, vectorizes the
-    alpha = 1 case over an int64 array of primes; the sieve's residual pass
-    uses it to avoid per-element Python calls.
+    alpha = 1 case over an int64 array of primes into a new int64 array, which
+    callers may overwrite; the sieve's residual pass uses it to avoid
+    per-element Python calls.
     """
 
     name: str
@@ -59,25 +60,25 @@ class PrefixValues:
         return int(self.values[n])
 
 
-def _scatter_multiply(cells: np.ndarray, offsets: np.ndarray, v: int) -> None:
-    """cells[offsets] *= v, raising where numpy would silently wrap past I64_MAX."""
-    if v == 0:
-        cells[offsets] = 0
-        return
-    got = cells[offsets]
-    if v != 1 and v != -1:
-        top = int(np.abs(got).max(initial=0))
-        if top > I64_MAX // abs(v):
-            raise OverflowError(
-                f"pointwise value exceeds signed 64 bits (cell {top} * {v})"
-            )
-    cells[offsets] = got * v
+def _checked_multiply(cells: np.ndarray, v) -> None:
+    """cells *= v (v a scalar or an array like cells), raising OverflowError
+    where int64 would wrap.  The bound max|cells| * max|v| <= I64_MAX is tried
+    first (for a scalar it is exact; no cell ever holds -2^63, so |v| <= 1 is
+    safe); each product is checked only when the bound fails."""
+    if isinstance(v, np.ndarray):
+        if max_abs(cells) * max_abs(v) > I64_MAX:
+            caps = I64_MAX // np.maximum(np.abs(v), 1)
+            if np.any((np.abs(cells) > caps) & (v != 0)):
+                raise OverflowError("pointwise value exceeds signed 64 bits")
+    elif abs(v) > 1 and max_abs(cells) > I64_MAX // abs(v):
+        raise OverflowError(f"pointwise value exceeds signed 64 bits (cell * {v})")
+    cells *= v
 
 
-def _prime_power_values(f: PrimePowerFn, primes: list[int], x: int) -> dict[int, list[int]]:
-    """Cache [f(p), f(p^2), ...] for every p while p^alpha <= x."""
+def _prime_power_values(f: PrimePowerFn, x: int) -> dict[int, list[int]]:
+    """[f(p), f(p^2), ...] while p^alpha <= x, for every prime p <= sqrt(x) in order."""
     cache: dict[int, list[int]] = {}
-    for p in primes:
+    for p in primes_up_to(isqrt(x)).tolist():
         vals = []
         pa = p
         while pa <= x:
@@ -87,49 +88,39 @@ def _prime_power_values(f: PrimePowerFn, primes: list[int], x: int) -> dict[int,
     return cache
 
 
-def _sieve_segment(
-    f: PrimePowerFn,
-    lo: int,
-    hi: int,
-    primes: list[int],
-    ppcache: dict[int, list[int]],
-) -> np.ndarray:
-    """Values f(lo..hi) given primes = all primes <= sqrt(global x)."""
+def _sieve_segment(f: PrimePowerFn, lo: int, hi: int, ppcache: dict[int, list[int]]) -> np.ndarray:
+    """Values f(lo..hi) given ppcache = _prime_power_values(f, x) for hi <= x.
+
+    Level alpha of p is the strided view of the cells divisible by p^alpha.
+    Level 1 is multiplied by f(p) in place, then each deeper level, in
+    increasing alpha, is overwritten by its values from before p times
+    f(p^alpha).  A product so formed at n with p^(alpha+1) | n has the same
+    operands as the exact one at n / p^(v_p(n) - alpha) <= x, so the checks
+    raise for exactly the inputs where some exact product overflows.
+    """
     width = hi - lo + 1
-    residue = np.arange(lo, hi + 1, dtype=np.int64)
     cells = np.ones(width, dtype=np.int64)
-    for p in primes:
-        fvals = ppcache[p]
+    stripped = np.ones(width, dtype=np.int64)  # product of p^alpha || n, p <= sqrt(x)
+    for p, fvals in ppcache.items():
+        levels = []
         pa = p
-        alpha = 1
-        while pa <= hi:
-            j_lo = (lo + pa - 1) // pa
-            j_hi = hi // pa
-            if j_lo > j_hi:
-                break  # no multiple of p^alpha here, so none of higher powers
-            offsets = np.arange(j_lo * pa - lo, width, pa)
-            # drop j divisible by p: those belong to a higher exact power
-            j0 = (j_lo + p - 1) // p * p
-            if j0 <= j_hi:
-                keep = np.ones(offsets.size, dtype=bool)
-                keep[j0 - j_lo :: p] = False
-                offsets = offsets[keep]
-            if offsets.size:
-                _scatter_multiply(cells, offsets, fvals[alpha - 1])
-                residue[offsets] //= pa
+        while (start := -lo % pa) < width:
+            levels.append(slice(start, None, pa))
+            stripped[start::pa] *= p
             pa *= p
-            alpha += 1
-    leftover = residue != 1
-    if lo == 1:
-        leftover[0] = False  # n = 1: f(1) = 1, nothing to strip
-    if np.any(leftover):
-        rest = residue[leftover]
-        vals = f.values_at_primes(rest)
-        got = cells[leftover]
-        caps = I64_MAX // np.maximum(np.abs(vals), 1)
-        if np.any((np.abs(got) > caps) & (vals != 0)):
-            raise OverflowError("pointwise value exceeds signed 64 bits")
-        cells[leftover] = got * vals
+        if not levels:
+            continue
+        saved = [cells[level].copy() for level in levels[1:]]
+        _checked_multiply(cells[levels[0]], fvals[0])
+        for level, before, fa in zip(levels[1:], saved, fvals[1:]):
+            _checked_multiply(before, fa)
+            cells[level] = before
+    residue = np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), stripped, out=stripped)
+    done = residue == 1
+    np.copyto(residue, 2, where=done)  # any prime: its value is replaced by 1 below
+    vals = f.values_at_primes(residue)
+    np.copyto(vals, 1, where=done)
+    _checked_multiply(cells, vals)
     return cells
 
 
@@ -137,9 +128,7 @@ def algorithm_m(f: PrimePowerFn, x: int) -> PrefixValues:
     """All of f(1..x) by the prime-power stripping sieve; O(x^(1+eps))."""
     if x < 1:
         raise ValueError("prefix length must be >= 1")
-    primes = primes_up_to(isqrt(x)).tolist()
-    ppcache = _prime_power_values(f, primes, x)
-    cells = _sieve_segment(f, 1, x, primes, ppcache)
+    cells = _sieve_segment(f, 1, x, _prime_power_values(f, x))
     values = np.concatenate((np.zeros(1, dtype=np.int64), cells))
     return PrefixValues(x=x, values=values)
 
@@ -150,13 +139,12 @@ def algorithm_m_sum(f: PrimePowerFn, x: int) -> int:
         raise ValueError("negative summation bound")
     if x == 0:
         return 0
-    primes = primes_up_to(isqrt(x)).tolist()
-    ppcache = _prime_power_values(f, primes, x)
+    ppcache = _prime_power_values(f, x)
     seg = max(isqrt(x), SEGMENT)
     total = 0
     for lo in range(1, x + 1, seg):
         hi = min(lo + seg - 1, x)
-        total += exact_sum(_sieve_segment(f, lo, hi, primes, ppcache))
+        total += exact_sum(_sieve_segment(f, lo, hi, ppcache))
     return wide_check(total)
 
 
@@ -165,13 +153,19 @@ def convolve_prime_power(f: PrimePowerFn, g: PrimePowerFn) -> PrimePowerFn:
 
     At prime powers: h(p^a) = sum_{i=0..a} f(p^i) g(p^(a-i)) with the i = 0
     and i = a terms contributing g(p^a) and f(p^a) (f and g are 1 at p^0).
+    Each h(p^a) is kept (pure values, so racing writers store equal ones):
+    unkept, nested self-convolutions cost about (2a)^depth operand calls.
     """
     f_eval, g_eval = f.eval, g.eval
+    memo: dict[tuple[int, int], int] = {}
 
     def h_eval(p: int, a: int) -> int:
-        total = f_eval(p, a) + g_eval(p, a)
-        for i in range(1, a):
-            total += f_eval(p, i) * g_eval(p, a - i)
+        total = memo.get((p, a))
+        if total is None:
+            total = f_eval(p, a) + g_eval(p, a)
+            for i in range(1, a):
+                total += f_eval(p, i) * g_eval(p, a - i)
+            memo[p, a] = total
         return total
 
     h_vec = None
@@ -179,7 +173,9 @@ def convolve_prime_power(f: PrimePowerFn, g: PrimePowerFn) -> PrimePowerFn:
         fv, gv = f.eval_at_primes, g.eval_at_primes
 
         def h_vec(ps: np.ndarray) -> np.ndarray:  # h(p) = f(p) + g(p)
-            return fv(ps) + gv(ps)
+            out = fv(ps)
+            out += gv(ps)  # in place: nested powers hold one array per level
+            return out
 
     return PrimePowerFn(
         name=f"({f.name} * {g.name})",
@@ -221,7 +217,8 @@ def _id_power_vec(square: bool):
 
 
 def _chi4_vec(ps: np.ndarray) -> np.ndarray:
-    out = np.where(ps % 4 == 1, 1, -1).astype(np.int64)
+    out = ps & 2  # odd p: 0 when p & 3 is 1, 2 when it is 3
+    np.subtract(1, out, out=out)
     out[ps == 2] = 0
     return out
 

@@ -1,8 +1,10 @@
 import time
+from math import comb
 
 import numpy as np
 import pytest
 
+from subsum import SummatoryEvaluator
 from subsum.arith import sieve_smallest_factor
 from subsum.multfn import (
     CHI4,
@@ -36,7 +38,11 @@ def test_algorithm_m_sum_examples():
 
 def test_algorithm_m_matches_factorization():
     table = sieve_smallest_factor(10**4)
-    for f in POINTWISE_ATOMS.values():
+    derived = [
+        SummatoryEvaluator(text).pointwise
+        for text in ("mu * id", "one^3", "mu@2 * tau2", "(one * chi4)^2", "mu@2 * (one^4)")
+    ]
+    for f in list(POINTWISE_ATOMS.values()) + derived:
         got = algorithm_m(f, 10**4)
         for n in range(1, 10**4 + 1):
             want = 1
@@ -63,6 +69,14 @@ def test_algorithm_m_segmentation_boundaries():
         want = int(np.cumsum(algorithm_m(TAU2, 3000).values)[3000])
         assert algorithm_m_sum(TAU2, 3000) == want
         assert algorithm_m_sum(MU, 2999) == int(np.cumsum(algorithm_m(MU, 2999).values)[2999])
+        # x = p^2 +- 1 and p^3 +- 1: runs of prime-power multiples start
+        # inside a segment, and the last segment is short
+        xs = [q + d for p in (31, 53, 97) for q in (p * p, p**3) if q < 10**5 for d in (-1, 1)]
+        xs += [q + d for q in (7**3, 13**3, 17**3, 23**3) for d in (-1, 1)]
+        for f in (TAU2, MU, CHI4, SummatoryEvaluator("mu@2 * tau2").pointwise):
+            prefix = np.cumsum(algorithm_m(f, max(xs)).values)
+            for x in xs:
+                assert algorithm_m_sum(f, x) == int(prefix[x]), (f.name, x)
     finally:
         m.SEGMENT = old
 
@@ -78,6 +92,30 @@ def test_cell_overflow_detected():
     assert algorithm_m(ok, 16)[4] == 1 << 40  # single factor still fits
 
 
+def test_deep_level_overflow_detected():
+    # only f(p^a), a >= 2, is large: 36 = 2^2 * 3^2 is the first cell over 64 bits
+    deep = PrimePowerFn("deep", lambda p, a: (1 << 40) if a >= 2 else 1)
+    assert algorithm_m(deep, 35)[8] == 1 << 40
+    assert algorithm_m_sum(deep, 35) == sum(algorithm_m(deep, 35).values.tolist())
+    for run in (algorithm_m, algorithm_m_sum):
+        with pytest.raises(OverflowError):
+            run(deep, 36)
+
+
+def test_residual_overflow_in_later_segment():
+    import subsum.multfn as m
+
+    spiky = PrimePowerFn("spiky", lambda p, a: 1 if p in (3, 5) else 1 << 40)
+    old = m.SEGMENT
+    try:
+        m.SEGMENT = 8  # x = 14: segments 1..8 and 9..14, primes <= 3
+        assert algorithm_m_sum(spiky, 13) == sum(algorithm_m(spiky, 13).values.tolist())
+        with pytest.raises(OverflowError):
+            algorithm_m_sum(spiky, 14)  # cell 14 = 2 * 7: 7 is its residual prime
+    finally:
+        m.SEGMENT = old
+
+
 def test_convolve_examples():
     tau = convolve_prime_power(ONE, ONE)
     for p in (2, 3, 5):
@@ -87,6 +125,24 @@ def test_convolve_examples():
     assert all(eps.eval(p, a) == 0 for p in (2, 3, 5) for a in range(1, 7))
     phi = convolve_prime_power(ID, MU)
     assert phi.eval(5, 3) == 5**3 - 5**2
+
+
+def test_nested_convolution_evaluates_each_prime_power_once():
+    calls = []
+
+    def counting_mu(p, a):
+        calls.append((p, a))
+        return MU.eval(p, a)
+
+    h = PrimePowerFn("counting_mu", counting_mu)
+    depth, a = 8, 12
+    for _ in range(depth):
+        h = convolve_prime_power(h, h)  # mu^(2^depth)
+    assert h.eval(2, a) == (-1) ** a * comb(2**depth, a)
+    # the innermost convolution asks for the atom at p^1..p^a once per h(p^i),
+    # i <= a, and the levels above it add nothing: unmemoized, about (2a)^depth
+    assert len(calls) == a * (a + 1)
+    assert SummatoryEvaluator("mu^256").pointwise.eval(2, a) == comb(256, a)
 
 
 def test_convolve_matches_brute_divisor_sum():
