@@ -1,54 +1,79 @@
 """Base summatory routines: the catalog atoms every expression bottoms out in.
 
-Power sums and character sums close in O(1)/O(period).  The Mertens function
-uses the floor-value recursion M(x) = 1 - sum_{n=2..x} M(x//n) over the
-O(sqrt x) distinct quotients, backed by a prefix table up to ~x^(2/3) taken
-from the one process-wide mu table (MU_TABLE, which parity also reads); that
-is what gives the ~x^(2/3) running time the deceleration table records.
+Power sums and character sums close in O(1)/O(period), for one bound or for
+an int64 array of bounds at once.  The Mertens function takes M(q) for
+q <= u ~ x^(2/3) from a prefix table over the one process-wide mu table
+(MU_TABLE, which parity also reads), then fills M(x//k) for the k with
+x//k > u bottom-up, from the largest k down, each as
+M(v) = 1 - sum_{d=2..v} M(v//d) summed in three numpy arrays; that is what
+gives the ~x^(2/3) running time the deceleration table records.
 The divisor summatory uses the Dirichlet hyperbola identity at the sqrt(x)
 split; its catalog deceleration stays 1/3, the best known exponent for it,
 which this package does not implement (see README).
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import multfn
-from .arith import SEGMENT, GrowOnly, exact_sum, ikrt, primes_up_to, wide_check
+from .arith import I64_MAX, SEGMENT, GrowOnly, exact_sum, ikrt, primes_up_to, wide_check
 from .multfn import PrimePowerFn
 
 # chi4[(n - 1) % 4] is the non-principal character mod 4 at n: 1, 0, -1, 0.
 CHI4_TABLE = (1, 0, -1, 0)
 
 
-def power_summatory(k: int, x: int) -> int:
-    """Sum_{n<=x} n^k in closed form, exact; catalog supports k <= 3."""
-    if x < 0:
+def _largest_bound(x) -> int:
+    """The largest bound in x (an int or an int64 array; 0 if empty); none may be negative."""
+    low = high = x
+    if isinstance(x, np.ndarray):
+        low, high = (int(x.min()), int(x.max())) if x.size else (0, 0)
+    if low < 0:
         raise ValueError("negative bound")
+    return high
+
+
+def power_summatory(k: int, x):
+    """Sum_{n<=x} n^k in closed form, exact; catalog supports k <= 3.
+
+    x is an int or an int64 array of bounds (summed element-wise).  The sum
+    grows with x, so the largest bound gives the extreme term, which is
+    checked against 128 bits; an array is summed in int64 when 3 times that
+    term fits (no intermediate exceeds it), else on Python ints.
+    """
+    top = _largest_bound(x)
+    if not 0 <= k <= 3:
+        raise ValueError("power summatory catalog covers k <= 3")
     if k == 0:
         return x
+    array = isinstance(x, np.ndarray)
+    if array and 3 * power_summatory(k, top) > I64_MAX:
+        x = x.astype(object)
     half = x * (x + 1) // 2  # consecutive integers: exact division
-    if k == 1:
-        return wide_check(half)
-    if k == 2:
-        return wide_check(half * (2 * x + 1) // 3)
-    if k == 3:
-        return wide_check(half * half)
-    raise ValueError("power summatory catalog covers k <= 3")
+    value = half if k == 1 else half * (2 * x + 1) // 3 if k == 2 else half * half
+    return value if array else wide_check(value)
 
 
-def character_summatory(chi: Sequence[int], x: int) -> int:
-    """Sum_{n<=x} chi(n) for a periodic table chi[(n-1) % m] in O(m)."""
+def character_summatory(chi: Sequence[int], x):
+    """Sum_{n<=x} chi(n) for a periodic table chi[(n-1) % m] in O(m).
+
+    x is an int or an int64 array of bounds (summed element-wise); an array
+    is summed in int64 when max(x) * max|chi| fits, else on Python ints.
+    """
     m = len(chi)
     if m < 1:
         raise ValueError("character table must be non-empty")
-    if x < 0:
-        raise ValueError("negative bound")
+    top = _largest_bound(x)
+    partial = [0, *accumulate(chi)]  # partial[r] = sum(chi[:r])
     full, rem = divmod(x, m)
-    return full * sum(chi) + sum(chi[:rem])
+    if isinstance(x, np.ndarray):
+        dtype = object if top * max(map(abs, chi)) > I64_MAX else np.int64
+        full, partial = full.astype(dtype, copy=False), np.array(partial, dtype=dtype)
+    return full * partial[m] + partial[rem]
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
@@ -69,7 +94,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
 MU_TABLE = GrowOnly(lambda m: mobius_sieve(m))
 
 # Prefix-table threshold: u ~ x^(2/3) balances the sieve against the
-# recursion, which costs O(x / sqrt(u)) block steps overall.
+# large-quotient sums, which cost O(x / sqrt(u)) array elements overall.
 _MERTENS_FLOOR = 1000
 
 
@@ -79,30 +104,30 @@ def mertens(x: int) -> int:
         raise ValueError("negative bound")
     if x == 0:
         return 0
-    u = max(ikrt(x * x, 3), _MERTENS_FLOOR)
-    u = min(u, x)
+    u = min(max(ikrt(x * x, 3), _MERTENS_FLOOR), x)
     small = np.cumsum(MU_TABLE.covering(u)[: u + 1], dtype=np.int64)
     if x <= u:
         return int(small[x])
-    memo: dict[int, int] = {}
-
-    def rec(v: int) -> int:
-        if v <= u:
-            return int(small[v])
-        hit = memo.get(v)
-        if hit is not None:
-            return hit
-        total = 1
-        d = 2
-        while d <= v:
-            q = v // d
-            d_hi = v // q
-            total -= (d_hi - d + 1) * rec(q)
-            d = d_hi + 1
-        memo[v] = total
-        return total
-
-    return rec(x)
+    # large[k] = M(x//k) for the k with x//k > u, filled from the top down:
+    # M(v) = 1 - sum_{d=2..v} M(v//d) with v = x//k and r = isqrt(v).  For
+    # d <= r, v//d = x//(kd) is a large[k*d] already filled or at most u; the
+    # d > r are grouped by their quotient q <= v//(r+1).  |M(q)| <= q and q
+    # has at most v/q^2 + 1 such d, so every term fits int64.
+    kmax = x // (u + 1)
+    large = np.zeros(kmax + 1, dtype=np.int64)
+    for k in range(kmax, 0, -1):
+        v = x // k
+        r = isqrt(v)
+        top = min(r, kmax // k)
+        qs = np.arange(1, v // (r + 1) + 1, dtype=np.int64)
+        counts = v // qs - np.maximum(v // (qs + 1), r)
+        terms = (
+            large[2 * k : top * k + 1 : k],
+            small[v // np.arange(top + 1, r + 1, dtype=np.int64)],
+            counts * small[1 : qs.size + 1],
+        )
+        large[k] = 1 - exact_sum(np.concatenate(terms))
+    return int(large[1])
 
 
 def divisor_summatory(x: int) -> int:
@@ -123,15 +148,16 @@ class CatalogAtom(NamedTuple):
     pointwise: PrimePowerFn
     summatory: Callable[[int], int]
     deceleration: Fraction
+    takes_arrays: bool = False  # summatory also maps an int64 array of bounds
 
 
 _CATALOG: dict[str, CatalogAtom] = {
-    "one": CatalogAtom(multfn.ONE, lambda x: power_summatory(0, x), Fraction(0)),
-    "id": CatalogAtom(multfn.ID, lambda x: power_summatory(1, x), Fraction(0)),
-    "id2": CatalogAtom(multfn.ID2, lambda x: power_summatory(2, x), Fraction(0)),
-    "id3": CatalogAtom(multfn.ID3, lambda x: power_summatory(3, x), Fraction(0)),
+    "one": CatalogAtom(multfn.ONE, lambda x: power_summatory(0, x), Fraction(0), True),
+    "id": CatalogAtom(multfn.ID, lambda x: power_summatory(1, x), Fraction(0), True),
+    "id2": CatalogAtom(multfn.ID2, lambda x: power_summatory(2, x), Fraction(0), True),
+    "id3": CatalogAtom(multfn.ID3, lambda x: power_summatory(3, x), Fraction(0), True),
     "chi4": CatalogAtom(
-        multfn.CHI4, lambda x: character_summatory(CHI4_TABLE, x), Fraction(0)
+        multfn.CHI4, lambda x: character_summatory(CHI4_TABLE, x), Fraction(0), True
     ),
     "mu": CatalogAtom(multfn.MU, mertens, Fraction(2, 3)),
     "tau2": CatalogAtom(multfn.TAU2, divisor_summatory, Fraction(1, 3)),

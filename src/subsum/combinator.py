@@ -18,6 +18,12 @@ with the split point c chosen from the operand decelerations, pointwise
 prefixes from the sieve in `multfn`, and all cutoffs computed by exact
 integer root/power comparisons (never by float exponentials).
 
+A half sum whose other operand is a closed-form atom (one, id, id2, id3,
+chi4) that is not stretched runs over whole arrays: one atom call on the
+array of its arguments x // d^k and one exact weighted sum.  Every other
+half sum (over Mertens, T2, a stretched operand or a convolution node)
+calls the operand's memoized summatory once per term or equal-quotient block.
+
 Expression grammar ('*' convolution, '@k' stretch, '^k' convolution power;
 '@'/'^' bind tighter than '*', which is left-associative):
 
@@ -41,11 +47,14 @@ values come from the dedicated `gaussian_dec`, not from the generic tree.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 import numpy as np
 
-from .arith import GrowOnly, check_bound, ikrt, sum_fits_int64, wide_check
+from .arith import (
+    I64_MAX, GrowOnly, check_bound, exact_sum, ikrt, max_abs, sum_fits_int64, wide_check
+)
 from .base_summatory import ATOM_NAMES, catalog_atom
 from .multfn import PrimePowerFn, algorithm_m, convolve_prime_power, stretch_prime_power
 
@@ -343,6 +352,8 @@ class _Node:
 
     ppf: PrimePowerFn
     dec: Fraction
+    # the summatory over an int64 array of bounds, for closed-form atoms only
+    array_summatory = None
 
     def __init__(self):
         self.memo: dict[int, int] = {}
@@ -365,6 +376,7 @@ class _AtomNode(_Node):
         self.ppf = entry.pointwise
         self.dec = entry.deceleration
         self._summatory = entry.summatory
+        self.array_summatory = entry.summatory if entry.takes_arrays else None
 
     def eval(self, x: int) -> int:
         if x <= 0:
@@ -422,6 +434,8 @@ class _ConvNode(_Node):
         side is the (values, prefix) table of the summed operand, covering 0..cut.
         """
         vals, pref = side
+        if k_other == 1 and other.array_summatory is not None:
+            return _array_half_sum(x, vals, pref, k_self, other.array_summatory, cut)
         other_eval = other.eval
         total = 0
         d = 1
@@ -456,6 +470,32 @@ class _ConvNode(_Node):
         total += self._half_sum(x, gtable, self.k2, self.fnode, self.k1, d2)
         cross = int(ftable[1][d1]) * int(gtable[1][d2])
         return wide_check(total - cross)
+
+
+def _array_half_sum(
+    x: int, vals: np.ndarray, pref: np.ndarray, k_self: int, summatory, cut: int
+) -> int:
+    """_half_sum for k_other = 1 with Other a closed-form atom, over whole arrays.
+
+    Each d <= D (D = min(cut, isqrt x) when k_self = 1, else cut) with
+    f(d) != 0 is one term f(d) G(x // d^k_self); the d in (D, cut] share
+    quotients q < sqrt x and give one term per q, weighted by the prefix
+    difference over the d with x // d = q.  Zero weights are dropped, so G is
+    checked against 128 bits on exactly the terms the scalar loop evaluates.
+    """
+    dense = min(cut, isqrt(x)) if k_self == 1 else cut
+    ds = np.flatnonzero(vals[1 : dense + 1]) + 1
+    weights, ys = vals[ds], x // ds**k_self
+    if dense < cut:
+        qs = np.arange(x // cut, x // (dense + 1) + 1, dtype=np.int64)
+        block = pref[np.minimum(x // qs, cut)] - pref[np.maximum(x // (qs + 1), dense)]
+        keep = np.flatnonzero(block)
+        weights, ys = np.concatenate((weights, block[keep])), np.concatenate((ys, qs[keep]))
+    values = summatory(ys)  # ys holds x itself: f(1) = 1 is always a term
+    if weights.dtype != object and values.dtype != object:
+        if max_abs(weights) * max_abs(values) <= I64_MAX:
+            return exact_sum(weights * values)
+    return int(np.dot(weights.astype(object), values.astype(object)))
 
 
 def _resolve(expr: SummatoryExpr) -> _Node:

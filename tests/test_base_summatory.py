@@ -14,6 +14,7 @@ from subsum.base_summatory import (
     mobius_sieve,
     power_summatory,
 )
+from subsum.arith import ikrt
 from subsum.oracle import mobius_values
 
 
@@ -40,6 +41,22 @@ def test_power_summatory_against_loops():
         if n % 117 == 0 or n < 64:
             for k in range(4):
                 assert power_summatory(k, n) == sums[k], (k, n)
+
+
+def test_closed_forms_over_arrays_match_scalars():
+    xs = np.array([0, 1, 2, 3, 4, 5, 999, 10**6 + 3, 2_480_000_000, 4_300_000_000])
+    for k in range(4):
+        want = [power_summatory(k, int(x)) for x in xs]
+        assert [int(v) for v in power_summatory(k, xs)] == want, k
+    for table in (CHI4_TABLE, (2, -1, -1)):
+        want = [character_summatory(table, int(x)) for x in xs]
+        assert [int(v) for v in character_summatory(table, xs)] == want, table
+    with pytest.raises(ValueError):
+        power_summatory(1, np.array([3, -1]))
+    with pytest.raises(ValueError):
+        character_summatory(CHI4_TABLE, np.array([-1]))
+    with pytest.raises(OverflowError):  # one term past 128 bits fails the whole array
+        power_summatory(3, np.array([1, 6 * 10**9, 2]))
 
 
 def test_power_summatory_rejects_large_k():
@@ -78,6 +95,18 @@ def test_mertens_examples():
     assert mertens(10) == -1
 
 
+def test_mertens_published_powers_of_ten():
+    # M(10^k) for k = 0..10 (OEIS A084237)
+    want = [1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222, -33722]
+    assert [mertens(10**k) for k in range(11)] == want
+
+
+def _large_quotient_count(x):
+    """How many k have x//k above the Mertens prefix table's bound u."""
+    u = min(max(ikrt(x * x, 3), 1000), x)
+    return x // (u + 1)
+
+
 def test_mertens_against_linear_sieve():
     mu = mobius_values(10**5)
     prefix = np.cumsum(mu)
@@ -90,6 +119,13 @@ def test_mertens_against_linear_sieve():
     for m in range(11, 47):
         for x in (m**3 - 1, m**3, m**3 + 1):
             assert mertens(x) == int(prefix[x]), x
+    # the large-quotient array gains an entry where x // (u + 1) steps
+    counts = [_large_quotient_count(x) for x in range(1000, 10**5 + 1)]
+    steps = [x for x in range(1001, 10**5 + 1) if counts[x - 1000] != counts[x - 1001]]
+    assert len(steps) > 40
+    for x in steps:
+        for y in (x - 1, x, min(x + 1, 10**5)):
+            assert mertens(y) == int(prefix[y]), y
 
 
 def test_mobius_sieve_matches_linear_sieve():

@@ -336,3 +336,73 @@ def test_power_resolves_to_logarithmic_tree():
             stack += [node.fnode, node.gnode]
     assert len(nodes) <= 20
     assert expr_deceleration(parse_expr("mu^1000000")) == dec_conv_power(Fraction(2, 3), 10**6)
+
+
+# Half sums whose other operand is a closed-form atom run over whole arrays;
+# the seams are x = m^2 +- 1 (dense terms end at isqrt x) and x = m^4 +- 1.
+_ARRAY_HALF_SUM_TEXTS = ("id * one", "chi4 * one", "mu * id", "mu * id2", "one^3", "id * mu@2")
+
+
+def test_array_half_sums_against_oracle(monkeypatch):
+    import subsum.combinator as combinator
+
+    calls = []
+    real = combinator._array_half_sum
+    monkeypatch.setattr(
+        combinator, "_array_half_sum", lambda *args: calls.append(args[3]) or real(*args)
+    )
+    xs = sorted(
+        {x for m in (32, 33, 45, 100, 211, 316) for x in (m * m - 1, m * m, m * m + 1)}
+        | {x for m in (6, 7, 10, 13, 17) for x in (m**4 - 1, m**4 + 1)}
+        | {10**5}
+    )
+    evs = [SummatoryEvaluator(text) for text in _ARRAY_HALF_SUM_TEXTS]
+    brute = brute_summatory_batch([ev.pointwise for ev in evs], xs)
+    for text, ev, wants in zip(_ARRAY_HALF_SUM_TEXTS, evs, brute):
+        for want, x in zip(wants, xs):
+            assert ev.eval(x) == want, (text, x)
+    assert {1, 2} <= set(calls)  # k_self = 1 and k_self = 2 ("id * mu@2") both ran
+
+
+def test_gaussian_lattice_count_at_large_x():
+    # sum_{n <= x} (chi4 * one)(n) = r2 summed / 4 = #{a >= 1, b >= 0 : a^2 + b^2 <= x}
+    from math import isqrt
+
+    ev = SummatoryEvaluator("chi4 * one")
+    for x in (10**9, 10**10 + 7, 10**11 + 3, 10**12):
+        want = sum(isqrt(x - a * a) + 1 for a in range(1, isqrt(x) + 1))
+        assert ev.eval(x) == want, x
+
+
+def test_sigma_sum_past_int64_terms():
+    # above 4.3e9, y(y+1)/2 leaves int64: the array half sum runs on Python ints
+    from math import isqrt
+
+    def hyperbola(x):
+        r = isqrt(x)
+        s1 = lambda y: y * (y + 1) // 2
+        return sum(d * (x // d) + s1(x // d) for d in range(1, r + 1)) - r * s1(r)
+
+    ev = SummatoryEvaluator("id * one")
+    for x in (4_300_000_001, 2**33 + 1, 10**10):
+        assert ev.eval(x) == hyperbola(x), x
+
+
+def test_array_half_sum_keeps_128_bit_raise_set():
+    from subsum.arith import I128_MAX
+
+    def s3(y):
+        return (y * (y + 1) // 2) ** 2
+
+    with pytest.raises(OverflowError):
+        SummatoryEvaluator("id3 * one").eval(6 * 10**9)
+    jordan3 = SummatoryEvaluator("mu * id3")  # its mu table, sized at 6e9, serves all three
+    with pytest.raises(OverflowError):
+        jordan3.eval(6 * 10**9)
+    # The term mu(1) S3(x) leaves 128 bits, yet the total fits: jordan3(n) <= n^3,
+    # and at most 7/8 n^3 for even n, so the total is at most S3(x) - S3(x // 2).
+    x = 5_150_000_000
+    assert s3(x) > I128_MAX >= s3(x) - s3(x // 2)
+    with pytest.raises(OverflowError):
+        jordan3.eval(x)
+    assert jordan3.eval(4 * 10**9) == 59132057814303161433296391796430203460
