@@ -7,9 +7,11 @@ q <= u ~ x^(2/3) from a prefix table over the one process-wide mu table
 x//k > u bottom-up, from the largest k down, each as
 M(v) = 1 - sum_{d=2..v} M(v//d) summed in three numpy arrays; that is what
 gives the ~x^(2/3) running time the deceleration table records.
-The divisor summatory uses the Dirichlet hyperbola identity at the sqrt(x)
-split; its catalog deceleration stays 1/3, the best known exponent for it,
-which this package does not implement (see README).
+The divisor summatory also takes one bound or an int64 array of them: bounds
+up to 2^18 are gathered from one process-wide T2 prefix table (T2_TABLE,
+which parity also reads), and each larger one runs the Dirichlet hyperbola
+identity at the sqrt(x) split; its catalog deceleration stays 1/3, the best
+known exponent for it, which this package does not implement (see README).
 """
 
 from fractions import Fraction
@@ -130,18 +132,47 @@ def mertens(x: int) -> int:
     return int(large[1])
 
 
-def divisor_summatory(x: int) -> int:
-    """T2(x) = sum_{n<=x} tau2(n) by the hyperbola identity, O(sqrt x)."""
-    if x < 0:
-        raise ValueError("negative bound")
-    if x == 0:
-        return 0
+# T2(0..m), shared by every caller in the process: a bound up to the limit is
+# one gather from it (parity's T2* loop reads it directly).
+T2_TABLE_LIMIT = 1 << 18
+T2_TABLE = GrowOnly(lambda m: np.cumsum(multfn.algorithm_m(multfn.TAU2, m).values, dtype=np.int64))
+
+
+def _t2_fits_int64(y: int) -> bool:
+    """T2(y) <= I64_MAX, proven by T2(y) <= y (ln y + 1) < y (bit_length(y) + 1)."""
+    return y * (y.bit_length() + 1) <= I64_MAX
+
+
+def _hyperbola(x: int) -> int:
+    """T2(x) by the Dirichlet hyperbola identity, O(sqrt x)."""
     r = isqrt(x)
+    # sum_{d<=r} x//d = (T2(x) + r^2) / 2 <= T2(x), so no partial sum wraps if T2(x) fits
+    fits = _t2_fits_int64(x)
     s = 0
     for lo in range(1, r + 1, SEGMENT):
         hi = min(lo + SEGMENT - 1, r)
-        s += exact_sum(x // np.arange(lo, hi + 1, dtype=np.int64))
+        q = x // np.arange(lo, hi + 1, dtype=np.int64)
+        s += int(q.sum()) if fits else exact_sum(q)
     return wide_check(2 * s - r * r)
+
+
+def divisor_summatory(x):
+    """T2(x) = sum_{n<=x} tau2(n), exact.
+
+    x is an int or an int64 array of bounds (summed element-wise).  Bounds up
+    to T2_TABLE_LIMIT are read from T2_TABLE; each larger one runs the
+    hyperbola.  An array is summed in int64 when T2(max) provably fits, else
+    on Python ints.
+    """
+    top = _largest_bound(x)
+    table = T2_TABLE.covering(T2_TABLE_LIMIT)
+    if not isinstance(x, np.ndarray):
+        return int(table[x]) if x <= T2_TABLE_LIMIT else _hyperbola(x)
+    dtype = np.int64 if _t2_fits_int64(top) else object
+    out = table[np.minimum(x, T2_TABLE_LIMIT)].astype(dtype, copy=False)
+    for i in np.flatnonzero(x > T2_TABLE_LIMIT).tolist():
+        out[i] = _hyperbola(int(x[i]))
+    return out
 
 
 class CatalogAtom(NamedTuple):
@@ -160,7 +191,7 @@ _CATALOG: dict[str, CatalogAtom] = {
         multfn.CHI4, lambda x: character_summatory(CHI4_TABLE, x), Fraction(0), True
     ),
     "mu": CatalogAtom(multfn.MU, mertens, Fraction(2, 3)),
-    "tau2": CatalogAtom(multfn.TAU2, divisor_summatory, Fraction(1, 3)),
+    "tau2": CatalogAtom(multfn.TAU2, divisor_summatory, Fraction(1, 3), True),
 }
 
 ATOM_NAMES = tuple(sorted(_CATALOG))

@@ -18,11 +18,12 @@ with the split point c chosen from the operand decelerations, pointwise
 prefixes from the sieve in `multfn`, and all cutoffs computed by exact
 integer root/power comparisons (never by float exponentials).
 
-A half sum whose other operand is a closed-form atom (one, id, id2, id3,
-chi4) that is not stretched runs over whole arrays: one atom call on the
-array of its arguments x // d^k and one exact weighted sum.  Every other
-half sum (over Mertens, T2, a stretched operand or a convolution node)
-calls the operand's memoized summatory once per term or equal-quotient block.
+A half sum whose other operand is an unstretched array atom (the closed
+forms one, id, id2, id3, chi4, and tau2) runs over whole arrays: one atom
+call on the array of its arguments x // d^k and one exact weighted sum.
+Every other half sum (over Mertens, a stretched operand or a convolution
+node) calls the operand's memoized summatory once per term or
+equal-quotient block.
 
 Expression grammar ('*' convolution, '@k' stretch, '^k' convolution power;
 '@'/'^' bind tighter than '*', which is left-associative):
@@ -352,7 +353,7 @@ class _Node:
 
     ppf: PrimePowerFn
     dec: Fraction
-    # the summatory over an int64 array of bounds, for closed-form atoms only
+    # the summatory over an int64 array of bounds, for array atoms only
     array_summatory = None
 
     def __init__(self):
@@ -464,6 +465,12 @@ class _ConvNode(_Node):
             return 0
         d1 = _floor_power(x, c / self.k1)
         d2 = _floor_power(x, (1 - c) / self.k2)
+        # Each half sum has the d = 1 term Other(x^(1/k_other)), as f(1) = 1.
+        # When Other is an O(1) closed form (deceleration 0) that term is
+        # evaluated first, so an input it overflows raises before any sieve.
+        for node, k in ((self.gnode, self.k2), (self.fnode, self.k1)):
+            if node.dec == 0:
+                node.eval(ikrt(x, k))
         ftable = self.fnode.table.covering(d1)
         gtable = self.gnode.table.covering(d2)
         total = self._half_sum(x, ftable, self.k1, self.gnode, self.k2, d1)
@@ -475,7 +482,7 @@ class _ConvNode(_Node):
 def _array_half_sum(
     x: int, vals: np.ndarray, pref: np.ndarray, k_self: int, summatory, cut: int
 ) -> int:
-    """_half_sum for k_other = 1 with Other a closed-form atom, over whole arrays.
+    """_half_sum for k_other = 1 with Other an array atom, over whole arrays.
 
     Each d <= D (D = min(cut, isqrt x) when k_self = 1, else cut) with
     f(d) != 0 is one term f(d) G(x // d^k_self); the d in (D, cut] share

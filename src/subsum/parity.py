@@ -16,16 +16,8 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import SEGMENT, GrowOnly, check_bound, ikrt, is_prime, wide_check
-from .base_summatory import MU_TABLE, divisor_summatory
-from .multfn import TAU2, algorithm_m
-
-# Cumulative divisor counts up to this limit are kept so that the tail of the
-# T2* loop (small x/d^2) is gathered from a table, SEGMENT terms at a time.
-_T2_TABLE_LIMIT = 1 << 18
-
-# T2(0..m); index 0 of the sieved values is zero padding.
-_T2_TABLE = GrowOnly(lambda m: np.cumsum(algorithm_m(TAU2, m).values, dtype=np.int64))
+from .arith import SEGMENT, check_bound, ikrt, is_prime, wide_check
+from .base_summatory import MU_TABLE, T2_TABLE, T2_TABLE_LIMIT, divisor_summatory
 
 
 def unitary_divisor_summatory(x: int) -> int:
@@ -38,8 +30,9 @@ def unitary_divisor_summatory(x: int) -> int:
         raise ValueError("negative bound")
     r = isqrt(x)
     mu = MU_TABLE.covering(r)
-    table = _T2_TABLE.covering(_T2_TABLE_LIMIT)
-    d_table = isqrt(x // _T2_TABLE_LIMIT) + 1  # x // d^2 < table limit from here on
+    # the tail (small x // d^2) is gathered from the shared T2 table, SEGMENT terms at a time
+    table = T2_TABLE.covering(T2_TABLE_LIMIT)
+    d_table = isqrt(x // T2_TABLE_LIMIT) + 1  # x // d^2 < table limit from here on
     total = 0
     for d in range(1, min(d_table, r + 1)):
         m = int(mu[d])

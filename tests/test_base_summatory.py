@@ -149,6 +149,52 @@ def test_divisor_summatory_against_divisor_sieve():
         assert divisor_summatory(x) == int(prefix[x]), x
 
 
+def _t2_bounds():
+    """Seams of the table and of the hyperbola's isqrt, plus random bounds up to 1e12."""
+    limit = 1 << 18
+    rng = random.Random(12)
+    xs = {0, limit - 1, limit, limit + 1}
+    for m in (2, 3, 100, 511, 512, 513, 1000, 10**5, 10**6):
+        xs |= {m * m - 1, m * m, m * m + 1}
+    xs |= {rng.randrange(1, limit) for _ in range(200)}
+    xs |= {rng.randrange(limit, 10**12) for _ in range(30)}
+    return sorted(xs)
+
+
+def test_divisor_summatory_over_arrays_matches_hyperbola():
+    from subsum.base_summatory import _hyperbola
+
+    xs = _t2_bounds()
+    got = divisor_summatory(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [_hyperbola(x) for x in xs]
+    assert [divisor_summatory(x) for x in xs] == got.tolist()
+    empty = divisor_summatory(np.array([], dtype=np.int64))
+    assert empty.size == 0
+    with pytest.raises(ValueError):
+        divisor_summatory(np.array([5, -1], dtype=np.int64))
+    with pytest.raises(ValueError):
+        divisor_summatory(-1)
+
+
+def test_divisor_summatory_array_switches_to_python_ints(monkeypatch):
+    # An array is int64 exactly when max * (bit_length(max) + 1), which bounds
+    # T2(max), fits; moving the cap moves the switch without a huge T2.
+    import subsum.base_summatory as base
+
+    for y in _t2_bounds():
+        assert divisor_summatory(y) <= y * (y.bit_length() + 1)
+    assert base._t2_fits_int64(10**17) and not base._t2_fits_int64(2**58)
+
+    xs = np.array([7, 10**5, 10**6 + 1], dtype=np.int64)
+    want = divisor_summatory(xs).tolist()
+    bound = (10**6 + 1) * ((10**6 + 1).bit_length() + 1)
+    for cap, dtype in ((bound, np.int64), (bound - 1, object)):
+        monkeypatch.setattr(base, "I64_MAX", cap)
+        got = divisor_summatory(xs)
+        assert got.dtype == dtype and got.tolist() == want, cap
+
+
 def test_catalog_atoms():
     assert set(ATOM_NAMES) == {"one", "id", "id2", "id3", "chi4", "mu", "tau2"}
     assert catalog_atom("mu").deceleration == Fraction(2, 3)
@@ -157,6 +203,7 @@ def test_catalog_atoms():
     assert catalog_atom("id3").deceleration == 0
     assert catalog_atom("chi4").summatory(5) == 1
     assert catalog_atom("tau2").summatory(10) == 27
+    assert catalog_atom("tau2").takes_arrays and not catalog_atom("mu").takes_arrays
     assert catalog_atom("id2").summatory(4) == 30
     assert catalog_atom("mu").pointwise.eval(7, 1) == -1
     with pytest.raises(ValueError):

@@ -406,3 +406,50 @@ def test_array_half_sum_keeps_128_bit_raise_set():
     with pytest.raises(OverflowError):
         jordan3.eval(x)
     assert jordan3.eval(4 * 10**9) == 59132057814303161433296391796430203460
+
+
+# Half sums over tau2 run over whole arrays too, unless tau2 is stretched.
+_T2_HALF_SUM_TEXTS = (
+    "one^3", "one^4", "mu@2 * tau2", "mu@2 * (one^4)", "tau2 * chi4", "tau2@2 * one"
+)
+
+
+def test_tau2_half_sums_against_oracle():
+    xs = sorted(
+        {x for m in (32, 33, 45, 100, 211, 316) for x in (m * m - 1, m * m, m * m + 1)}
+        | {x for m in (6, 7, 10, 13, 17) for x in (m**4 - 1, m**4 + 1)}
+        | {10**5}
+    )
+    evs = [SummatoryEvaluator(text) for text in _T2_HALF_SUM_TEXTS]
+    brute = brute_summatory_batch([ev.pointwise for ev in evs], xs)
+    for text, ev, wants in zip(_T2_HALF_SUM_TEXTS, evs, brute):
+        for want, x in zip(wants, xs):
+            assert ev.eval(x) == want, (text, x)
+
+
+def test_tau2_half_sums_reach_array_path(monkeypatch):
+    import subsum.combinator as combinator
+    from subsum.base_summatory import divisor_summatory
+
+    real = combinator._array_half_sum
+    for text in _T2_HALF_SUM_TEXTS:
+        summed = []
+        monkeypatch.setattr(
+            combinator, "_array_half_sum", lambda *args: summed.append(args[4]) or real(*args)
+        )
+        SummatoryEvaluator(text).eval(10**5)
+        # "tau2@2 * one" sums tau2 at ikrt(x // d, 2): that stays on the scalar loop
+        assert (divisor_summatory in summed) == ("@2 * one" not in text), text
+
+
+def test_overflow_raises_before_any_table(monkeypatch):
+    # The d = 1 term id3(6e9) leaves 128 bits; no pointwise sieve runs first.
+    import subsum.combinator as combinator
+
+    def no_sieve(*args):
+        raise AssertionError("a pointwise table was built")
+
+    monkeypatch.setattr(combinator, "algorithm_m", no_sieve)
+    for text in ("mu * id3", "id3 * mu", "id3 * one"):
+        with pytest.raises(OverflowError):
+            SummatoryEvaluator(text).eval(6 * 10**9)

@@ -14,8 +14,8 @@ import subsum.parity
 from subsum.arith import GrowOnly, segmented_prime_count
 from subsum.base_summatory import mertens, mobius_sieve
 from subsum.combinator import SummatoryEvaluator
-from subsum.multfn import algorithm_m
-from subsum.oracle import mobius_values
+from subsum.multfn import TAU2, algorithm_m
+from subsum.oracle import brute_summatory_batch, mobius_values
 
 
 @pytest.fixture
@@ -24,6 +24,15 @@ def empty_mu_table(monkeypatch):
     table = GrowOnly(mobius_sieve)
     monkeypatch.setattr(subsum.base_summatory, "MU_TABLE", table)
     monkeypatch.setattr(subsum.parity, "MU_TABLE", table)
+
+
+@pytest.fixture
+def empty_t2_table(monkeypatch):
+    """A fresh, empty shared T2 table for the evaluator and parity; the threads grow it."""
+    table = GrowOnly(lambda m: np.cumsum(algorithm_m(TAU2, m).values, dtype=np.int64))
+    monkeypatch.setattr(subsum.base_summatory, "T2_TABLE", table)
+    monkeypatch.setattr(subsum.parity, "T2_TABLE", table)
+    return table
 
 
 def _with_fast_switching(fn):
@@ -143,3 +152,20 @@ def test_mertens_and_parity_share_mu_table_across_threads(empty_mu_table):
                 assert mertens(x) == want_m[x], x
 
     _with_fast_switching(lambda: _run_threads(4, work))
+
+
+def test_array_t2_from_empty_table_across_threads(empty_t2_table):
+    # Every thread's first tau2 half sum races to build the shared T2 table.
+    texts = ("one^4", "mu@2 * tau2")
+    xs = random.Random(13).sample(range(1000, 60001), 12)
+    evs = [SummatoryEvaluator(text) for text in texts]
+    brute = brute_summatory_batch([ev.pointwise for ev in evs], xs)
+    want = {(text, x): w for text, ws in zip(texts, brute) for x, w in zip(xs, ws)}
+
+    def work(i):
+        for x in xs[i:] + xs[:i]:
+            for text in texts[i % 2 :] + texts[: i % 2]:
+                assert SummatoryEvaluator(text).eval(x) == want[text, x], (text, x)
+
+    _with_fast_switching(lambda: _run_threads(4, work))
+    assert len(empty_t2_table.covering(0)) == subsum.base_summatory.T2_TABLE_LIMIT + 1
