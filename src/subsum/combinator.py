@@ -18,12 +18,12 @@ with the split point c chosen from the operand decelerations, pointwise
 prefixes from the sieve in `multfn`, and all cutoffs computed by exact
 integer root/power comparisons (never by float exponentials).
 
-A half sum whose other operand is an unstretched array atom (the closed
-forms one, id, id2, id3, chi4, and tau2) runs over whole arrays: one atom
-call on the array of its arguments x // d^k and one exact weighted sum.
-Every other half sum (over Mertens, a stretched operand or a convolution
-node) calls the operand's memoized summatory once per term or
-equal-quotient block.
+Every half sum builds its terms in numpy: one per d with f(d) != 0 up to
+sqrt x, then one per equal-quotient block, with the arguments x // d^k
+mapped through the exact integer root when the other operand is stretched.
+An array atom (the closed forms one, id, id2, id3, chi4, and tau2) takes
+all of them in one call; Mertens, stretch and convolution nodes take one
+memoized call per argument, largest first.  One exact weighted sum follows.
 
 Expression grammar ('*' convolution, '@k' stretch, '^k' convolution power;
 '@'/'^' bind tighter than '*', which is left-associative):
@@ -49,6 +49,7 @@ values come from the dedicated `gaussian_dec`, not from the generic tree.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from numbers import Rational
 from typing import Union
 
 import numpy as np
@@ -433,29 +434,34 @@ class _ConvNode(_Node):
         """sum_{d <= cut, side(d) != 0} side(d) * Other((x / d^k_self)^(1/k_other)).
 
         side is the (values, prefix) table of the summed operand, covering 0..cut.
+        Each d <= D (D = min(cut, isqrt x) when k_self = 1, else cut) with
+        side(d) != 0 is one term side(d) Other(x // d^k_self); the d in (D, cut]
+        share quotients q < sqrt x and give one term per q, weighted by the
+        prefix difference over the d with x // d = q.  Zero weights are dropped,
+        so Other is checked against 128 bits on exactly the non-zero terms.  The
+        arguments fall from x, so a nested node's tables grow once; an array
+        atom takes them all in one call, any other node one memoized eval each.
         """
         vals, pref = side
-        if k_other == 1 and other.array_summatory is not None:
-            return _array_half_sum(x, vals, pref, k_self, other.array_summatory, cut)
-        other_eval = other.eval
-        total = 0
-        d = 1
-        while d <= cut:
-            if k_self == 1 and d * d > x:
-                # equal-quotient block: x//d constant for d in [d, d_hi]
-                q = x // d
-                d_hi = min(cut, x // q)
-                weight = int(pref[d_hi]) - int(pref[d - 1])
-                if weight:
-                    total += weight * other_eval(ikrt(q, k_other))
-                d = d_hi + 1
-                continue
-            v = int(vals[d])
-            if v:
-                y = x // d**k_self
-                total += v * other_eval(y if k_other == 1 else ikrt(y, k_other))
-            d += 1
-        return total
+        dense = min(cut, isqrt(x)) if k_self == 1 else cut
+        ds = np.flatnonzero(vals[1 : dense + 1]) + 1
+        weights, ys = vals[ds], x // ds**k_self
+        if dense < cut:
+            qs = np.arange(x // (dense + 1), x // cut - 1, -1, dtype=np.int64)
+            block = pref[np.minimum(x // qs, cut)] - pref[np.maximum(x // (qs + 1), dense)]
+            keep = np.flatnonzero(block)
+            weights, ys = np.concatenate((weights, block[keep])), np.concatenate((ys, qs[keep]))
+        if k_other > 1:
+            ys = np.array([ikrt(y, k_other) for y in ys.tolist()], dtype=np.int64)
+        # ys[0] is x^(1/k_other): f(1) = 1 is always a term
+        if other.array_summatory is not None:
+            values = other.array_summatory(ys)
+        else:
+            values = np.array([other.eval(y) for y in ys.tolist()], dtype=object)
+        if weights.dtype != object and values.dtype != object:
+            if max_abs(weights) * max_abs(values) <= I64_MAX:
+                return exact_sum(weights * values)
+        return int(np.dot(weights.astype(object), values.astype(object)))
 
     def eval_identity(self, x: int, c: Fraction) -> int:
         """The three-term splitting identity with split exponent c in (0, 1)."""
@@ -477,32 +483,6 @@ class _ConvNode(_Node):
         total += self._half_sum(x, gtable, self.k2, self.fnode, self.k1, d2)
         cross = int(ftable[1][d1]) * int(gtable[1][d2])
         return wide_check(total - cross)
-
-
-def _array_half_sum(
-    x: int, vals: np.ndarray, pref: np.ndarray, k_self: int, summatory, cut: int
-) -> int:
-    """_half_sum for k_other = 1 with Other an array atom, over whole arrays.
-
-    Each d <= D (D = min(cut, isqrt x) when k_self = 1, else cut) with
-    f(d) != 0 is one term f(d) G(x // d^k_self); the d in (D, cut] share
-    quotients q < sqrt x and give one term per q, weighted by the prefix
-    difference over the d with x // d = q.  Zero weights are dropped, so G is
-    checked against 128 bits on exactly the terms the scalar loop evaluates.
-    """
-    dense = min(cut, isqrt(x)) if k_self == 1 else cut
-    ds = np.flatnonzero(vals[1 : dense + 1]) + 1
-    weights, ys = vals[ds], x // ds**k_self
-    if dense < cut:
-        qs = np.arange(x // cut, x // (dense + 1) + 1, dtype=np.int64)
-        block = pref[np.minimum(x // qs, cut)] - pref[np.maximum(x // (qs + 1), dense)]
-        keep = np.flatnonzero(block)
-        weights, ys = np.concatenate((weights, block[keep])), np.concatenate((ys, qs[keep]))
-    values = summatory(ys)  # ys holds x itself: f(1) = 1 is always a term
-    if weights.dtype != object and values.dtype != object:
-        if max_abs(weights) * max_abs(values) <= I64_MAX:
-            return exact_sum(weights * values)
-    return int(np.dot(weights.astype(object), values.astype(object)))
 
 
 def _resolve(expr: SummatoryExpr) -> _Node:
@@ -562,8 +542,10 @@ class SummatoryEvaluator:
         """Diagnostic: force the three-term identity with an explicit split c.
 
         The result is identical for every admissible c; only the cost moves.
-        Requires the root to be a convolution.
+        c must be an int or a Fraction, and the root a convolution.
         """
+        if not isinstance(c, Rational):  # a float's Fraction has a huge numerator
+            raise TypeError(f"split exponent must be an int or a Fraction, not {type(c).__name__}")
         if not isinstance(self._root, _ConvNode):
             raise ValueError("expression root is not a convolution")
         return self._root.eval_identity(check_bound(x), Fraction(c))

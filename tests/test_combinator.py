@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from subsum.arith import ikrt
+from subsum.base_summatory import catalog_atom
 from subsum.combinator import (
     Atom,
     ConvPower,
@@ -226,6 +229,24 @@ def test_split_invariance():
         ev.eval_with_split(100, Fraction(1))
 
 
+def test_eval_with_split_rejects_non_rational_split():
+    # Fraction(0.3) has numerator 5404319552844595: x to that power never ends.
+    # x = 1 comes first, so a missing check fails here instead of at 10^6.
+    import subsum.combinator as combinator
+
+    def no_sieve(*args):
+        raise AssertionError("a pointwise table was built")
+
+    ev = SummatoryEvaluator("mu * id")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combinator, "algorithm_m", no_sieve)
+        for x in (1, 10**6):
+            for c in (0.3, 0.5, "1/2", None):
+                with pytest.raises(TypeError):
+                    ev.eval_with_split(x, c)
+    assert ev.eval_with_split(10**6, Fraction(3, 10)) == ev.eval(10**6)
+
+
 def test_eval_monotone_for_nonnegative_functions():
     rng = random.Random(8)
     for name in ("one", "id", "tau2", "sigma1", "tau2_star"):
@@ -338,19 +359,54 @@ def test_power_resolves_to_logarithmic_tree():
     assert expr_deceleration(parse_expr("mu^1000000")) == dec_conv_power(Fraction(2, 3), 10**6)
 
 
+def _log_routes(monkeypatch):
+    """Log atom summatory calls made through catalog_atom, and each half sum's Other.
+
+    Returns (calls, half_sums): (atom, argument) per summatory call, and
+    (atom, k_self) per half sum whose Other is an atom.  A node keeps the
+    summatory it got when it was built, so patch before building evaluators.
+    """
+    import subsum.combinator as combinator
+
+    real_atom, real_half_sum = combinator.catalog_atom, combinator._ConvNode._half_sum
+    calls, half_sums, names = [], [], {}
+
+    def logged_atom(name):
+        entry = real_atom(name)
+
+        def summatory(y, fn=entry.summatory):
+            calls.append((name, y))
+            return fn(y)
+
+        names[summatory] = name
+        return entry._replace(summatory=summatory)
+
+    def logged_half_sum(x, side, k_self, other, k_other, cut):
+        if isinstance(other, combinator._AtomNode):
+            half_sums.append((names[other._summatory], k_self))
+        return real_half_sum(x, side, k_self, other, k_other, cut)
+
+    monkeypatch.setattr(combinator, "catalog_atom", logged_atom)
+    monkeypatch.setattr(combinator._ConvNode, "_half_sum", staticmethod(logged_half_sum))
+    return calls, half_sums
+
+
+def _array_half_sums(calls, half_sums):
+    """The (atom, k_self) of each half sum over an array atom, after checking
+    that each made exactly one summatory call with an array."""
+    over_arrays = [(name, k) for name, k in half_sums if catalog_atom(name).takes_arrays]
+    array_calls = sorted(name for name, y in calls if isinstance(y, np.ndarray))
+    assert array_calls == sorted(name for name, _ in over_arrays)
+    return over_arrays
+
+
 # Half sums whose other operand is a closed-form atom run over whole arrays;
 # the seams are x = m^2 +- 1 (dense terms end at isqrt x) and x = m^4 +- 1.
 _ARRAY_HALF_SUM_TEXTS = ("id * one", "chi4 * one", "mu * id", "mu * id2", "one^3", "id * mu@2")
 
 
 def test_array_half_sums_against_oracle(monkeypatch):
-    import subsum.combinator as combinator
-
-    calls = []
-    real = combinator._array_half_sum
-    monkeypatch.setattr(
-        combinator, "_array_half_sum", lambda *args: calls.append(args[3]) or real(*args)
-    )
+    calls, half_sums = _log_routes(monkeypatch)
     xs = sorted(
         {x for m in (32, 33, 45, 100, 211, 316) for x in (m * m - 1, m * m, m * m + 1)}
         | {x for m in (6, 7, 10, 13, 17) for x in (m**4 - 1, m**4 + 1)}
@@ -361,7 +417,41 @@ def test_array_half_sums_against_oracle(monkeypatch):
     for text, ev, wants in zip(_ARRAY_HALF_SUM_TEXTS, evs, brute):
         for want, x in zip(wants, xs):
             assert ev.eval(x) == want, (text, x)
-    assert {1, 2} <= set(calls)  # k_self = 1 and k_self = 2 ("id * mu@2") both ran
+    # k_self = 1 and k_self = 2 ("id * mu@2") both ran over arrays
+    assert {k for _, k in _array_half_sums(calls, half_sums)} == {1, 2}
+
+
+# Half sums whose Other is stretched (k_other = 2, 3): over an array atom, over
+# Mertens and over a convolution node; the seams are x = m^2, m^3, m^6 +- 1.
+_STRETCHED_OTHER_TEXTS = (
+    "tau2@2 * one", "mu * id@2", "one * chi4@3", "mu@3 * (one^3)", "(mu * id)@2 * one"
+)
+
+
+def test_stretched_other_half_sums_against_oracle():
+    xs = sorted(
+        {x for m in (32, 45, 100, 211, 316) for x in (m**2 - 1, m**2 + 1)}
+        | {x for m in (10, 13, 21, 46) for x in (m**3 - 1, m**3 + 1)}
+        | {x for m in (3, 4, 5, 6) for x in (m**6 - 1, m**6 + 1)}
+        | {10**5}
+    )
+    evs = [SummatoryEvaluator(text) for text in _STRETCHED_OTHER_TEXTS]
+    brute = brute_summatory_batch([ev.pointwise for ev in evs], xs)
+    for text, ev, wants in zip(_STRETCHED_OTHER_TEXTS, evs, brute):
+        for want, x in zip(wants, xs):
+            assert ev.eval(x) == want, (text, x)
+
+
+def test_mertens_called_once_per_argument(monkeypatch):
+    # "mu * id" sums mu at x // d for d <= x^(1/4), one memoized call each:
+    # a later change that batches Mertens must change this test on purpose.
+    calls, _ = _log_routes(monkeypatch)
+    for x in (10**6, 10**8 + 7, 3 * 10**9):
+        calls.clear()
+        SummatoryEvaluator("mu * id").eval(x)
+        args = [y for name, y in calls if name == "mu"]
+        assert len(args) == ikrt(x, 4), x
+        assert all(type(y) is int for y in args), x
 
 
 def test_gaussian_lattice_count_at_large_x():
@@ -408,7 +498,7 @@ def test_array_half_sum_keeps_128_bit_raise_set():
     assert jordan3.eval(4 * 10**9) == 59132057814303161433296391796430203460
 
 
-# Half sums over tau2 run over whole arrays too, unless tau2 is stretched.
+# Half sums over tau2 run over whole arrays too, stretched or not.
 _T2_HALF_SUM_TEXTS = (
     "one^3", "one^4", "mu@2 * tau2", "mu@2 * (one^4)", "tau2 * chi4", "tau2@2 * one"
 )
@@ -428,18 +518,16 @@ def test_tau2_half_sums_against_oracle():
 
 
 def test_tau2_half_sums_reach_array_path(monkeypatch):
-    import subsum.combinator as combinator
-    from subsum.base_summatory import divisor_summatory
-
-    real = combinator._array_half_sum
+    calls, half_sums = _log_routes(monkeypatch)
+    k_selfs = set()
     for text in _T2_HALF_SUM_TEXTS:
-        summed = []
-        monkeypatch.setattr(
-            combinator, "_array_half_sum", lambda *args: summed.append(args[4]) or real(*args)
-        )
+        calls.clear()
+        half_sums.clear()
         SummatoryEvaluator(text).eval(10**5)
-        # "tau2@2 * one" sums tau2 at ikrt(x // d, 2): that stays on the scalar loop
-        assert (divisor_summatory in summed) == ("@2 * one" not in text), text
+        over_tau2 = [k for name, k in _array_half_sums(calls, half_sums) if name == "tau2"]
+        assert over_tau2, text
+        k_selfs.update(over_tau2)
+    assert k_selfs == {1, 2}  # "mu@2 * tau2" sums mu at d^2
 
 
 def test_overflow_raises_before_any_table(monkeypatch):
