@@ -1,12 +1,13 @@
 """Exact integer primitives: floor roots, checked wide arithmetic, primality,
-sieves, and the grow-only table that shares sieved prefixes between threads.
+prime sieves (no smallest-factor table: only the oracle needs one, and builds
+it), and the grow-only table that shares sieved prefixes between threads.
 
 Everything here is pure integer arithmetic.  Floating point appears only as an
 initial guess for k-th roots and is always followed by integer correction
 steps, because rounding near perfect powers is a classic off-by-one source.
 """
 
-from dataclasses import dataclass
+import operator
 from math import isqrt
 from threading import Lock
 from typing import Any, Callable
@@ -32,8 +33,10 @@ def wide_check(value: int) -> int:
     return value
 
 
-def check_bound(x: int) -> int:
-    """Return the summation bound x unchanged if 0 <= x <= I64_MAX, else raise."""
+def check_bound(x) -> int:
+    """Return the bound x as an int if 0 <= x <= I64_MAX, else raise; a numpy
+    integer becomes a Python int (which cannot wrap), a float raises TypeError."""
+    x = operator.index(x)
     if x < 0:
         raise ValueError("negative bound")
     if x > I64_MAX:
@@ -74,16 +77,16 @@ def ikrt(n: int, k: int = 2) -> int:
     return r
 
 
-# Smallest sieve-free Miller-Rabin witness set proven complete for n < 2^64.
+# Smallest sieve-free Miller-Rabin witness set proven complete for n < 2^64,
+# also trial-divided out first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^64 (Miller-Rabin, fixed witnesses)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:
@@ -106,66 +109,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_sieve(limit: int) -> np.ndarray:
-    """Boolean array b of length limit+1 with b[n] true iff n is prime."""
-    if limit < 0:
-        raise ValueError("negative sieve limit")
+def primes_up_to(limit: int) -> np.ndarray:
+    """Ascending int64 array of the primes <= limit."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return flags
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending int64 array of the primes <= limit."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(prime_sieve(limit))[0].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class SieveTable:
-    """Smallest-prime-factor table for 2..limit (index 0 and 1 unused)."""
-
-    limit: int
-    smallest_prime_factor: np.ndarray
-
-    def spf(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range 2..{self.limit}")
-        return int(self.smallest_prime_factor[n])
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization [(p, alpha), ...] of 1 <= n <= limit."""
-        if n == 1:
-            return []
-        out = []
-        table = self.smallest_prime_factor
-        while n > 1:
-            p = int(table[n])
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            out.append((p, a))
-        return out
-
-
-def sieve_smallest_factor(limit: int) -> SieveTable:
-    """Build the SPF table up to limit (>= 2)."""
-    if limit < 2:
-        raise ValueError("sieve limit must be >= 2")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    # anything still unset is prime
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    return SieveTable(limit=limit, smallest_prime_factor=spf)
+    return np.nonzero(flags)[0].astype(np.int64)
 
 
 def segmented_prime_count(a: int, b: int) -> int:

@@ -1,7 +1,7 @@
 """Base summatory routines: the catalog atoms every expression bottoms out in.
 
-Power sums and character sums close in O(1)/O(period), for one bound or for
-an int64 array of bounds at once.  The Mertens function takes M(q) for
+Power sums and the chi4 sum close in O(1), for one bound or for an int64
+array of bounds at once.  The Mertens function takes M(q) for
 q <= u ~ x^(2/3) from a prefix table over the one process-wide mu table
 (MU_TABLE, which parity also reads), then fills M(x//k) for the k with
 x//k > u bottom-up, from the largest k down, each as
@@ -15,18 +15,14 @@ known exponent for it, which this package does not implement (see README).
 """
 
 from fractions import Fraction
-from itertools import accumulate
 from math import isqrt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import multfn
 from .arith import I64_MAX, SEGMENT, GrowOnly, exact_sum, ikrt, primes_up_to, wide_check
 from .multfn import PrimePowerFn
-
-# chi4[(n - 1) % 4] is the non-principal character mod 4 at n: 1, 0, -1, 0.
-CHI4_TABLE = (1, 0, -1, 0)
 
 
 def _largest_bound(x) -> int:
@@ -60,22 +56,16 @@ def power_summatory(k: int, x):
     return value if array else wide_check(value)
 
 
-def character_summatory(chi: Sequence[int], x):
-    """Sum_{n<=x} chi(n) for a periodic table chi[(n-1) % m] in O(m).
+def chi4_summatory(x):
+    """Sum_{n<=x} chi4(n), chi4 the non-principal character mod 4: 1 when
+    x % 4 is 1 or 2, that is when bits 0 and 1 of x differ, else 0.
 
-    x is an int or an int64 array of bounds (summed element-wise); an array
-    is summed in int64 when max(x) * max|chi| fits, else on Python ints.
+    x is an int or an int64 array of bounds (element-wise).  Only shifts and
+    bit operations run (no division, and no x + 1 that could wrap), and every
+    value is 0 or 1, so an int64 array stays int64.
     """
-    m = len(chi)
-    if m < 1:
-        raise ValueError("character table must be non-empty")
-    top = _largest_bound(x)
-    partial = [0, *accumulate(chi)]  # partial[r] = sum(chi[:r])
-    full, rem = divmod(x, m)
-    if isinstance(x, np.ndarray):
-        dtype = object if top * max(map(abs, chi)) > I64_MAX else np.int64
-        full, partial = full.astype(dtype, copy=False), np.array(partial, dtype=dtype)
-    return full * partial[m] + partial[rem]
+    _largest_bound(x)
+    return (x ^ x >> 1) & 1
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
@@ -187,9 +177,7 @@ _CATALOG: dict[str, CatalogAtom] = {
     "id": CatalogAtom(multfn.ID, lambda x: power_summatory(1, x), Fraction(0), True),
     "id2": CatalogAtom(multfn.ID2, lambda x: power_summatory(2, x), Fraction(0), True),
     "id3": CatalogAtom(multfn.ID3, lambda x: power_summatory(3, x), Fraction(0), True),
-    "chi4": CatalogAtom(
-        multfn.CHI4, lambda x: character_summatory(CHI4_TABLE, x), Fraction(0), True
-    ),
+    "chi4": CatalogAtom(multfn.CHI4, chi4_summatory, Fraction(0), True),
     "mu": CatalogAtom(multfn.MU, mertens, Fraction(2, 3)),
     "tau2": CatalogAtom(multfn.TAU2, divisor_summatory, Fraction(1, 3), True),
 }

@@ -2,7 +2,7 @@
 
 Output stays machine-parsable: one value per line on stdout, diagnostics on
 stderr.  Exit codes: 0 success, 2 usage/parse error, 3 overflow, 4
-deceleration precondition violation.
+deceleration precondition violation, 5 out of memory.
 """
 
 import argparse
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_DEC = 4
+EXIT_MEMORY = 5
 
 
 def _fmt_dec(d: Fraction) -> str:
@@ -157,6 +158,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

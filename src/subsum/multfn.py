@@ -234,5 +234,3 @@ CHI4 = PrimePowerFn(
     lambda p, a: 0 if p == 2 else (1 if p % 4 == 1 else (-1) ** a),
     eval_at_primes=_chi4_vec,
 )
-
-POINTWISE_ATOMS = {f.name: f for f in (ONE, ID, ID2, ID3, CHI4, MU, TAU2)}

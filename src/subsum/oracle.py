@@ -1,14 +1,17 @@
 """Slow, obviously-correct references used by tests and acceptance runs only.
 
 Nothing here shares logic with the fast paths: factorization is trial
-division (or a smallest-prime-factor walk for bulk sweeps), convolution is a
-literal divisor-pair enumeration, and the Moebius sieve is the textbook
-linear sieve.
+division (or, for bulk sweeps, a walk over the smallest-prime-factor table
+that this module sieves itself), convolution is a literal divisor-pair
+enumeration, and the Moebius sieve is the textbook linear sieve.
 """
 
+from math import isqrt
 from typing import Sequence
 
-from .arith import ikrt, sieve_smallest_factor, wide_check
+import numpy as np
+
+from .arith import ikrt, wide_check
 from .multfn import PrimePowerFn
 
 _TRIAL_CAP = 10**12
@@ -38,6 +41,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n for 2 <= n <= limit; spf[0] = spf[1] = 0."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2  # anything still unset is prime
+    spf[rest] = rest
+    return spf.tolist()
 
 
 def brute_pointwise(f: PrimePowerFn, n: int) -> int:
@@ -72,7 +87,7 @@ def brute_summatory_batch(
         raise ValueError("checkpoints must be >= 1")
     order = sorted(range(len(checkpoints)), key=lambda i: checkpoints[i])
     limit = max(checkpoints)
-    spf = sieve_smallest_factor(max(limit, 2)).smallest_prime_factor.tolist()
+    spf = smallest_prime_factors(limit)
     memos: list[dict[tuple[int, int], int]] = [{} for _ in fs]
     running = [0] * len(fs)
     out = [[0] * len(checkpoints) for _ in fs]

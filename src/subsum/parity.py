@@ -11,7 +11,7 @@ parity of the prime count itself:
 n = 1 contributes the odd value 1 and is handled by an explicit adjustment.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -72,15 +72,15 @@ class ParityReport:
     parity: int
     t2star_b: int
     t2star_a_minus_1: int
-    corrections: list[tuple[int, int]] = field(default_factory=list)
-    one_adjustment: int = 0
+    corrections: list[tuple[int, int]]
+    one_adjustment: int
 
 
 def interval_prime_parity(a: int, b: int) -> ParityReport:
     """Decide whether [a, b] contains an odd number of primes."""
+    a, b = check_bound(a), check_bound(b)
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    check_bound(b)
     t2star_b = unitary_divisor_summatory(b)
     t2star_a1 = unitary_divisor_summatory(a - 1)
     one_adjustment = 1 if a == 1 else 0

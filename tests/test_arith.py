@@ -14,7 +14,6 @@ from subsum.arith import (
     isqrt,
     primes_up_to,
     segmented_prime_count,
-    sieve_smallest_factor,
     wide_check,
 )
 
@@ -88,31 +87,6 @@ def test_is_prime_large_composites():
     assert not is_prime((2**31 - 1) * (2**31 + 11))
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(18446744073709551557)  # largest prime below 2^64
-
-
-def test_sieve_smallest_factor_examples():
-    table = sieve_smallest_factor(10)
-    assert table.spf(4) == 2
-    assert table.spf(9) == 3
-    assert table.spf(7) == 7
-    assert sieve_smallest_factor(100).spf(91) == 7
-    assert sieve_smallest_factor(2).spf(2) == 2
-
-
-def test_sieve_smallest_factor_invariant():
-    table = sieve_smallest_factor(10**4)
-    spf = table.smallest_prime_factor
-    for n in range(2, 10**4 + 1):
-        p = int(spf[n])
-        assert n % p == 0
-        assert is_prime(p)
-        for q in range(2, p):
-            assert n % q != 0
-        if n <= 300:  # factorization round-trip on a small prefix
-            prod = 1
-            for prime, alpha in table.factorize(n):
-                prod *= prime**alpha
-            assert prod == n
 
 
 def test_segmented_prime_count_examples():

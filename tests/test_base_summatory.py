@@ -6,15 +6,14 @@ import pytest
 
 from subsum.base_summatory import (
     ATOM_NAMES,
-    CHI4_TABLE,
     catalog_atom,
-    character_summatory,
+    chi4_summatory,
     divisor_summatory,
     mertens,
     mobius_sieve,
     power_summatory,
 )
-from subsum.arith import ikrt
+from subsum.arith import I64_MAX, ikrt
 from subsum.oracle import mobius_values
 
 
@@ -48,13 +47,14 @@ def test_closed_forms_over_arrays_match_scalars():
     for k in range(4):
         want = [power_summatory(k, int(x)) for x in xs]
         assert [int(v) for v in power_summatory(k, xs)] == want, k
-    for table in (CHI4_TABLE, (2, -1, -1)):
-        want = [character_summatory(table, int(x)) for x in xs]
-        assert [int(v) for v in character_summatory(table, xs)] == want, table
+    want = [chi4_summatory(int(x)) for x in xs]
+    assert [int(v) for v in chi4_summatory(xs)] == want
     with pytest.raises(ValueError):
         power_summatory(1, np.array([3, -1]))
     with pytest.raises(ValueError):
-        character_summatory(CHI4_TABLE, np.array([-1]))
+        chi4_summatory(np.array([-1]))
+    with pytest.raises(ValueError):
+        chi4_summatory(-1)
     with pytest.raises(OverflowError):  # one term past 128 bits fails the whole array
         power_summatory(3, np.array([1, 6 * 10**9, 2]))
 
@@ -69,25 +69,34 @@ def test_power_summatory_overflow():
         power_summatory(3, 1 << 62)
 
 
-def test_character_summatory_examples():
-    assert character_summatory(CHI4_TABLE, 4) == 0
-    assert character_summatory(CHI4_TABLE, 5) == 1
-    assert character_summatory(CHI4_TABLE, 3) == 0
-    assert character_summatory(CHI4_TABLE, 0) == 0
+def test_chi4_summatory_examples():
+    assert chi4_summatory(4) == 0
+    assert chi4_summatory(5) == 1
+    assert chi4_summatory(3) == 0
+    assert chi4_summatory(0) == 0
 
 
-def test_character_summatory_bounded_partial_sums():
-    # chi4 partial sums are 0 or 1, exhaustively
-    for x in range(10**6 + 1):
-        assert character_summatory(CHI4_TABLE, x) == (1 if x % 4 in (1, 2) else 0)
+def test_chi4_summatory_exhaustive():
+    # against a running sum of chi4(n) = 1, 0, -1, 0 for n = 1, 2, 3, 4 (mod 4)
+    chi4 = (1, 0, -1, 0)
+    running = [0]
+    for n in range(1, 10**6 + 1):
+        running.append(running[-1] + chi4[(n - 1) % 4])
+    for x, want in enumerate(running):
+        assert chi4_summatory(x) == want, x
+    got = chi4_summatory(np.arange(10**6 + 1, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == running
 
 
-def test_character_summatory_other_period():
-    table = (2, -1, -1)
-    direct = 0
-    for n in range(1, 1000):
-        direct += table[(n - 1) % 3]
-        assert character_summatory(table, n) == direct
+def test_chi4_summatory_at_input_cap():
+    # I64_MAX = 3 (mod 4); an int64 array there must not wrap
+    seam = list(range(I64_MAX - 3, I64_MAX + 1))
+    want = [0, 1, 1, 0]
+    assert [chi4_summatory(x) for x in seam] == want
+    got = chi4_summatory(np.array(seam, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 def test_mertens_examples():

@@ -37,6 +37,25 @@ def test_eval_overflow_exit_code(capsys):
     assert "overflow" in err
 
 
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    # No real allocation: the evaluator and parity are patched to raise.
+    import subsum.cli as cli
+
+    class OutOfMemory:
+        def __init__(self, *args):
+            raise MemoryError("Unable to allocate 1.29 TiB")
+
+    def parity_out_of_memory(a, b):
+        raise MemoryError("Unable to allocate 1.29 TiB")
+
+    monkeypatch.setattr(cli, "SummatoryEvaluator", OutOfMemory)
+    monkeypatch.setattr(cli, "interval_prime_parity", parity_out_of_memory)
+    for argv in (("eval", "mu * id", str(10**15)), ("parity", "1", str(10**15))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert err == "error: out of memory: Unable to allocate 1.29 TiB\n"
+
+
 def test_eval_deterministic(capsys):
     # 46326398 = sum of phi(n) for n <= 12345, frozen from an independent phi sieve
     first = run(capsys, "eval", "mu * id", "12345")

@@ -247,6 +247,47 @@ def test_eval_with_split_rejects_non_rational_split():
     assert ev.eval_with_split(10**6, Fraction(3, 10)) == ev.eval(10**6)
 
 
+def test_numpy_integer_bounds_match_int_bounds():
+    # Unconverted, an np.int64 bound wraps in the closed forms (id at 5e9, id2
+    # at 3e6, id3 at 1e5) and fails inside ikrt, mertens and the hyperbola.
+    cases = [
+        ("id", 5 * 10**9),
+        ("id2", 3 * 10**6),
+        ("id3", 10**5),
+        ("mu", 10**6),
+        ("mu@2 * tau2", 10**6),
+        ("mu * id", 3 * 10**9),
+    ]
+    for text, x in cases:
+        want = SummatoryEvaluator(text).eval(x)
+        got = SummatoryEvaluator(text).eval(np.int64(x))
+        assert type(got) is int and got == want, (text, x)
+    split = SummatoryEvaluator("mu * id").eval_with_split(np.int64(10**6), Fraction(1, 2))
+    assert type(split) is int and split == SummatoryEvaluator("mu * id").eval(10**6)
+
+
+def test_float_bounds_raise_type_error():
+    import subsum.combinator as combinator
+    import subsum.multfn as multfn
+    from subsum.parity import interval_prime_parity
+
+    def no_sieve(*args):
+        raise AssertionError("a pointwise table was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combinator, "algorithm_m", no_sieve)
+        patch.setattr(multfn, "algorithm_m", no_sieve)
+        for x in (1e6, 1.0, 0.0, np.float64(10)):
+            with pytest.raises(TypeError):
+                SummatoryEvaluator("mu * id").eval(x)
+            with pytest.raises(TypeError):
+                SummatoryEvaluator("mu * id").eval_with_split(x, Fraction(1, 2))
+            with pytest.raises(TypeError):
+                interval_prime_parity(1, x)
+            with pytest.raises(TypeError):
+                interval_prime_parity(x, 10**6)
+
+
 def test_eval_monotone_for_nonnegative_functions():
     rng = random.Random(8)
     for name in ("one", "id", "tau2", "sigma1", "tau2_star"):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from subsum import SummatoryEvaluator
-from subsum.arith import sieve_smallest_factor
+from subsum.base_summatory import ATOM_NAMES, catalog_atom
 from subsum.multfn import (
     CHI4,
     ID,
     ID2,
     MU,
     ONE,
-    POINTWISE_ATOMS,
     TAU2,
     PrimePowerFn,
     algorithm_m,
@@ -37,18 +36,15 @@ def test_algorithm_m_sum_examples():
 
 
 def test_algorithm_m_matches_factorization():
-    table = sieve_smallest_factor(10**4)
+    atoms = [catalog_atom(name).pointwise for name in ATOM_NAMES]
     derived = [
         SummatoryEvaluator(text).pointwise
         for text in ("mu * id", "one^3", "mu@2 * tau2", "(one * chi4)^2", "mu@2 * (one^4)")
     ]
-    for f in list(POINTWISE_ATOMS.values()) + derived:
+    for f in atoms + derived:
         got = algorithm_m(f, 10**4)
         for n in range(1, 10**4 + 1):
-            want = 1
-            for p, a in table.factorize(n):
-                want *= f.eval(p, a)
-            assert got[n] == want, (f.name, n)
+            assert got[n] == brute_pointwise(f, n), (f.name, n)
 
 
 def test_algorithm_m_sum_matches_prefix():

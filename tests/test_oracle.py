@@ -1,5 +1,6 @@
 import pytest
 
+from subsum.arith import is_prime
 from subsum.multfn import ID, MU, ONE, TAU2
 from subsum.oracle import (
     brute_convolution,
@@ -8,6 +9,7 @@ from subsum.oracle import (
     brute_summatory_batch,
     factorize,
     mobius_values,
+    smallest_prime_factors,
 )
 
 
@@ -22,6 +24,27 @@ def test_factorize():
     assert factorize(1) == []
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(10**12 - 11) == [(999999999989, 1)]  # big prime, trial path
+
+
+def test_smallest_prime_factors_examples():
+    spf = smallest_prime_factors(10)
+    assert (spf[4], spf[9], spf[7]) == (2, 3, 7)
+    assert smallest_prime_factors(100)[91] == 7
+    assert smallest_prime_factors(2) == [0, 0, 2]
+    assert smallest_prime_factors(1) == [0, 0]
+
+
+def test_smallest_prime_factors_invariant():
+    spf = smallest_prime_factors(10**4)
+    assert len(spf) == 10**4 + 1
+    for n in range(2, 10**4 + 1):
+        p = spf[n]
+        assert n % p == 0
+        assert is_prime(p)
+        for q in range(2, p):
+            assert n % q != 0
+        if n <= 300:  # agrees with the trial-division factorizer
+            assert factorize(n)[0][0] == p
 
 
 def test_brute_summatory_examples():

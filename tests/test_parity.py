@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from subsum.arith import ikrt, segmented_prime_count
@@ -105,6 +106,16 @@ def test_parity_rejects_past_input_cap():
     # Raised before any sieve: mu up to isqrt(2^63) would need 3e9 cells.
     with pytest.raises(OverflowError):
         interval_prime_parity(2**63, 2**63 + 10)
+
+
+def test_parity_accepts_numpy_integer_endpoints():
+    # unconverted, an np.int64 endpoint fails in ikrt (it has no bit_length)
+    for a, b in ((1, 10), (10**6, 10**6 + 100), (10**10, 10**10 + 1000)):
+        want = interval_prime_parity(a, b)
+        for np_a, np_b in ((np.int64(a), np.int64(b)), (a, np.int64(b)), (np.int64(a), b)):
+            got = interval_prime_parity(np_a, np_b)
+            assert got == want, (a, b)
+            assert type(got.t2star_b) is int and type(got.t2star_a_minus_1) is int
 
 
 def test_congruence_mod4_random_intervals():
