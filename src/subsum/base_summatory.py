@@ -1,12 +1,12 @@
 """Base summatory routines: the catalog atoms every expression bottoms out in.
 
 Power sums and the chi4 sum close in O(1), for one bound or for an int64
-array of bounds at once.  The Mertens function takes M(q) for
-q <= u ~ x^(2/3) from a prefix table over the one process-wide mu table
-(MU_TABLE, which parity also reads), then fills M(x//k) for the k with
-x//k > u bottom-up, from the largest k down, each as
-M(v) = 1 - sum_{d=2..v} M(v//d) summed in three numpy arrays; that is what
-gives the ~x^(2/3) running time the deceleration table records.
+array of bounds at once.  The Mertens function reads M(q <= u) from one
+process-wide (mu, M) table over 0..u, u >= x^(2/3) (MERTENS_TABLE, which every
+mu node also reads; its mu is a slice of parity's MU_TABLE).  x <= u is one
+read; above it, M(x//k) for the k with x//k > u is filled bottom-up, largest k
+first, each as M(v) = 1 - sum_{d=2..v} M(v//d) in three numpy arrays; that is
+what gives the ~x^(2/3) running time the deceleration table records.
 The divisor summatory also takes one bound or an int64 array of them: bounds
 up to 2^18 are gathered from one process-wide T2 prefix table (T2_TABLE,
 which parity also reads), and each larger one runs the Dirichlet hyperbola
@@ -69,14 +69,27 @@ def chi4_summatory(x):
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..limit) as int8 (mu(0) stored as 0)."""
+    """mu(0..limit) as int8 (mu(0) stored as 0).
+
+    Only the primes p <= sqrt(limit) are sieved, one SEGMENT-sized block at a
+    time: each flips the sign of its multiples and divides them out of `rest`
+    once, and zeroes the multiples of p^2.  A squarefree n left with rest > 1
+    has exactly one prime factor above sqrt(limit), so its sign flips once more.
+    """
     if limit < 0:
         raise ValueError("negative sieve limit")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_up_to(limit).tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
+    primes = primes_up_to(isqrt(limit)).tolist()
+    dtype = np.int32 if limit < 1 << 31 else np.int64
+    for lo in range(0, limit + 1, SEGMENT):
+        block = mu[lo : lo + SEGMENT]
+        rest = np.arange(lo, lo + block.size, dtype=dtype)
+        for p in primes:
+            block[-lo % p :: p] *= -1
+            rest[-lo % p :: p] //= p
+            block[-lo % (p * p) :: p * p] = 0
+        block[rest > 1] *= -1
     return mu
 
 
@@ -84,6 +97,17 @@ def mobius_sieve(limit: int) -> np.ndarray:
 # looks mobius_sieve up at call time, so a wrapper bound to the module name
 # (a tracer, say) sees each sieve.
 MU_TABLE = GrowOnly(lambda m: mobius_sieve(m))
+
+
+def _mu_and_mertens(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu(0..m), M(0..m)): M is int32 while m < 2^31, which |M(n)| <= n makes safe."""
+    mu = MU_TABLE.covering(m)[: m + 1]
+    return mu, np.cumsum(mu, dtype=np.int32 if m < 1 << 31 else np.int64)
+
+
+# (mu, M) over 0..m for a growing m, 5 bytes a cell: Mertens and every mu node
+# read it (parity reads the int8 MU_TABLE alone).
+MERTENS_TABLE = GrowOnly(_mu_and_mertens)
 
 # Prefix-table threshold: u ~ x^(2/3) balances the sieve against the
 # large-quotient sums, which cost O(x / sqrt(u)) array elements overall.
@@ -94,10 +118,9 @@ def mertens(x: int) -> int:
     """M(x) = sum_{n<=x} mu(n), exact."""
     if x < 0:
         raise ValueError("negative bound")
-    if x == 0:
-        return 0
-    u = min(max(ikrt(x * x, 3), _MERTENS_FLOOR), x)
-    small = np.cumsum(MU_TABLE.covering(u)[: u + 1], dtype=np.int64)
+    # the table covers at least u ~ x^(2/3); all of it serves as the prefix
+    small = MERTENS_TABLE.covering(min(max(ikrt(x * x, 3), _MERTENS_FLOOR), x))[1]
+    u = small.size - 1
     if x <= u:
         return int(small[x])
     # large[k] = M(x//k) for the k with x//k > u, filled from the top down:
@@ -170,6 +193,8 @@ class CatalogAtom(NamedTuple):
     summatory: Callable[[int], int]
     deceleration: Fraction
     takes_arrays: bool = False  # summatory also maps an int64 array of bounds
+    # covering(n): a shared (f, prefix) table over 0..m, m >= n; None: each node sieves its own
+    covering: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 _CATALOG: dict[str, CatalogAtom] = {
@@ -178,7 +203,9 @@ _CATALOG: dict[str, CatalogAtom] = {
     "id2": CatalogAtom(multfn.ID2, lambda x: power_summatory(2, x), Fraction(0), True),
     "id3": CatalogAtom(multfn.ID3, lambda x: power_summatory(3, x), Fraction(0), True),
     "chi4": CatalogAtom(multfn.CHI4, chi4_summatory, Fraction(0), True),
-    "mu": CatalogAtom(multfn.MU, mertens, Fraction(2, 3)),
+    "mu": CatalogAtom(
+        multfn.MU, mertens, Fraction(2, 3), covering=lambda n: MERTENS_TABLE.covering(n)
+    ),
     "tau2": CatalogAtom(multfn.TAU2, divisor_summatory, Fraction(1, 3), True),
 }
 

@@ -359,8 +359,8 @@ class _Node:
 
     def __init__(self):
         self.memo: dict[int, int] = {}
-        # (f(0..m), prefix sums) for a growing m: table.covering(n)
-        self.table = GrowOnly(self._sieve)
+        # covering(n): (f(0..m), prefix sums) for a growing m >= n
+        self.covering = GrowOnly(self._sieve).covering
 
     def _sieve(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """f(0..m) and its prefix sums: int64 when they cannot wrap, else Python ints."""
@@ -379,6 +379,7 @@ class _AtomNode(_Node):
         self.dec = entry.deceleration
         self._summatory = entry.summatory
         self.array_summatory = entry.summatory if entry.takes_arrays else None
+        self.covering = entry.covering or self.covering
 
     def eval(self, x: int) -> int:
         if x <= 0:
@@ -421,7 +422,7 @@ class _ConvNode(_Node):
         if hit is not None:
             return hit
         if x <= SMALL_THRESHOLD:
-            value = wide_check(int(self.table.covering(x)[1][x]))
+            value = wide_check(int(self.covering(x)[1][x]))
         else:
             value = self.eval_identity(x, self.split)
         self.memo[x] = value
@@ -477,8 +478,8 @@ class _ConvNode(_Node):
         for node, k in ((self.gnode, self.k2), (self.fnode, self.k1)):
             if node.dec == 0:
                 node.eval(ikrt(x, k))
-        ftable = self.fnode.table.covering(d1)
-        gtable = self.gnode.table.covering(d2)
+        ftable = self.fnode.covering(d1)
+        gtable = self.gnode.covering(d2)
         total = self._half_sum(x, ftable, self.k1, self.gnode, self.k2, d1)
         total += self._half_sum(x, gtable, self.k2, self.fnode, self.k1, d2)
         cross = int(ftable[1][d1]) * int(gtable[1][d2])

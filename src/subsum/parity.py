@@ -26,8 +26,7 @@ def unitary_divisor_summatory(x: int) -> int:
     Agrees with evaluating the expression "mu@2 * tau2"; this specialized
     loop exists because the parity search hammers it at large x.
     """
-    if x < 0:
-        raise ValueError("negative bound")
+    x = check_bound(x)
     r = isqrt(x)
     mu = MU_TABLE.covering(r)
     # the tail (small x // d^2) is gathered from the shared T2 table, SEGMENT terms at a time
@@ -51,6 +50,7 @@ def prime_power_counts(a: int, b: int) -> list[tuple[int, int]]:
     Each prime power is counted once, at its true exponent (16 shows up under
     j = 4 only, via p = 2).
     """
+    a, b = check_bound(a), check_bound(b)
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
     out = []

@@ -138,7 +138,44 @@ def test_mertens_against_linear_sieve():
 
 
 def test_mobius_sieve_matches_linear_sieve():
-    assert mobius_sieve(3000).tolist() == mobius_values(3000)
+    want = mobius_values(3000)
+    for limit in list(range(2001)) + [3000]:
+        assert mobius_sieve(limit).tolist() == want[: limit + 1], limit
+
+
+def test_mobius_sieve_at_block_and_square_seams(monkeypatch):
+    # Limits on both sides of p^2 for p near sqrt(limit), where p joins the
+    # sieving primes; then on both sides of block edges, with 64-cell blocks.
+    import subsum.base_summatory as base
+
+    want = mobius_values(1009**2 + 1)
+
+    def check(limits):
+        for limit in limits:
+            assert mobius_sieve(limit).tolist() == want[: limit + 1], limit
+
+    check(p * p + e for p in (997, 1009) for e in (-1, 0, 1))
+    monkeypatch.setattr(base, "SEGMENT", 64)
+    check(64 * k + e for k in (1, 2, 3, 50) for e in (-1, 0, 1))
+    check(p * p + e for p in (31, 37, 97, 101) for e in (-1, 0, 1))
+
+
+def test_mertens_at_shared_table_seams(empty_mu_table):
+    # x at the prefix table's last cell u and at u +- 1 (u + 1 is the first
+    # fill), and at cube seams, where x^(2/3) steps: each with the table
+    # fresh, grown to u first, and grown far past x (a read).
+    import subsum.base_summatory as base
+
+    prefix = np.cumsum(mobius_values(10**6))
+    u = 5000
+    xs = [u - 1, u, u + 1, 7 * u + 3] + [m**3 + e for m in (17, 46, 99) for e in (-1, 0, 1)]
+    for grow in (None, u, 2 * 10**6):
+        for x in xs:
+            empty_mu_table()
+            if grow is not None:
+                base.MERTENS_TABLE.covering(grow)
+            assert mertens(x) == int(prefix[x]), (grow, x)
+    assert base.MERTENS_TABLE.covering(0)[1].dtype == np.int32
 
 
 def test_divisor_summatory_examples():
@@ -213,6 +250,7 @@ def test_catalog_atoms():
     assert catalog_atom("chi4").summatory(5) == 1
     assert catalog_atom("tau2").summatory(10) == 27
     assert catalog_atom("tau2").takes_arrays and not catalog_atom("mu").takes_arrays
+    assert catalog_atom("mu").covering is not None and catalog_atom("tau2").covering is None
     assert catalog_atom("id2").summatory(4) == 30
     assert catalog_atom("mu").pointwise.eval(7, 1) == -1
     with pytest.raises(ValueError):

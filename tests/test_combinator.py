@@ -495,6 +495,29 @@ def test_mertens_called_once_per_argument(monkeypatch):
         assert all(type(y) is int for y in args), x
 
 
+def test_mu_nodes_read_the_shared_table_fresh_or_grown(empty_mu_table):
+    # Every mu node reads the shared (mu, M) table; no answer may depend on
+    # how far an earlier caller grew it: fresh, or 100 times past x^(3/4),
+    # the largest mu cutoff here (that of "mu * id").
+    import subsum.base_summatory as base
+
+    texts = ("mu * id", "mu * id2", "mu@2 * tau2", "mu@3 * one", "mu@2 * (one^4)")
+    pointwise = [SummatoryEvaluator(text).pointwise for text in texts]
+    small = [1001, 4095, 4097, 19682, 19684, 20000]
+    want = {(text, x): w for text, ws in zip(texts, brute_summatory_batch(pointwise, small))
+            for x, w in zip(small, ws)}
+    large = [10**6 - 1, 10**6 + 1]
+    want.update({(text, x): algorithm_m_sum(f, x) for text, f in zip(texts, pointwise)
+                 for x in large})
+    for grow in (False, True):
+        for x in small + large:
+            empty_mu_table()
+            if grow:
+                base.MERTENS_TABLE.covering(100 * ikrt(x**3, 4))
+            for text in texts:
+                assert SummatoryEvaluator(text).eval(x) == want[text, x], (grow, text, x)
+
+
 def test_gaussian_lattice_count_at_large_x():
     # sum_{n <= x} (chi4 * one)(n) = r2 summed / 4 = #{a >= 1, b >= 0 : a^2 + b^2 <= x}
     from math import isqrt

@@ -47,6 +47,19 @@ def test_unitary_divisor_summatory_tail_in_segments(monkeypatch):
         assert unitary_divisor_summatory(x) == ev.eval(x), x
 
 
+def test_parity_helpers_take_numpy_integer_bounds():
+    assert unitary_divisor_summatory(np.int64(10**6)) == unitary_divisor_summatory(10**6)
+    for a, b in ((10**6, 10**6 + 100), (10**6, 2 * 10**6)):
+        assert prime_power_counts(np.int64(a), np.int64(b)) == prime_power_counts(a, b)
+    assert prime_power_counts(10**6, 2 * 10**6)  # some p^2 and p^3 lie in it
+    with pytest.raises(TypeError):
+        unitary_divisor_summatory(1e6)
+    with pytest.raises(TypeError):
+        prime_power_counts(1e6, 1e6 + 100)
+    with pytest.raises(ValueError):
+        unitary_divisor_summatory(-1)
+
+
 def test_prime_power_counts_examples():
     assert prime_power_counts(10, 20) == [(4, 1)]
     assert prime_power_counts(2, 3) == []

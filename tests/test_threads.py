@@ -1,4 +1,4 @@
-"""Sharing one evaluator, and the process-wide mu table, between threads."""
+"""Sharing one evaluator, and the process-wide mu tables, between threads."""
 
 import random
 import sys
@@ -12,18 +12,10 @@ import pytest
 import subsum.base_summatory
 import subsum.parity
 from subsum.arith import GrowOnly, segmented_prime_count
-from subsum.base_summatory import mertens, mobius_sieve
+from subsum.base_summatory import mertens
 from subsum.combinator import SummatoryEvaluator
 from subsum.multfn import TAU2, algorithm_m
 from subsum.oracle import brute_summatory_batch, mobius_values
-
-
-@pytest.fixture
-def empty_mu_table(monkeypatch):
-    """A fresh, empty shared mu table for Mertens and parity; the threads grow it."""
-    table = GrowOnly(mobius_sieve)
-    monkeypatch.setattr(subsum.base_summatory, "MU_TABLE", table)
-    monkeypatch.setattr(subsum.parity, "MU_TABLE", table)
 
 
 @pytest.fixture
@@ -169,3 +161,32 @@ def test_array_t2_from_empty_table_across_threads(empty_t2_table):
 
     _with_fast_switching(lambda: _run_threads(4, work))
     assert len(empty_t2_table.covering(0)) == subsum.base_summatory.T2_TABLE_LIMIT + 1
+
+
+def test_mertens_mu_nodes_and_parity_race_from_empty_tables(empty_mu_table):
+    # Mertens and the mu nodes of fresh evaluators grow the shared (mu, M)
+    # table while parity grows the mu table under it; each trial starts empty.
+    texts = ("mu * id", "mu@2 * tau2")
+    xs = random.Random(17).sample(range(1000, 50001), 12)
+    brute = brute_summatory_batch([SummatoryEvaluator(text).pointwise for text in texts], xs)
+    want = {(text, x): w for text, ws in zip(texts, brute) for x, w in zip(xs, ws)}
+    want_m = list(accumulate(mobius_values(max(xs))))
+    intervals = _parity_intervals()
+    want_p = {ab: segmented_prime_count(*ab) % 2 for ab in intervals}
+
+    def work(i):
+        if i == 3:
+            for ab in intervals:
+                assert subsum.parity.interval_prime_parity(*ab).parity == want_p[ab], ab
+            return
+        for x in xs[i:] + xs[:i]:
+            assert mertens(x) == want_m[x], x
+            for text in texts[i % 2 :] + texts[: i % 2]:
+                assert SummatoryEvaluator(text).eval(x) == want[text, x], (text, x)
+
+    def trials():
+        for _ in range(3):
+            empty_mu_table()
+            _run_threads(4, work)
+
+    _with_fast_switching(trials)
