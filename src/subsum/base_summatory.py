@@ -3,13 +3,13 @@
 Power sums and the chi4 sum close in O(1), for one bound or for an int64
 array of bounds at once.  The Mertens function reads M(q <= u) from one
 process-wide (mu, M) table over 0..u, u >= x^(2/3) (MERTENS_TABLE, which every
-mu node also reads; its mu is a slice of parity's MU_TABLE).  x <= u is one
+mu node also reads; its mu is a slice of the int8 MU_TABLE).  x <= u is one
 read; above it, M(x//k) for the k with x//k > u is filled bottom-up, largest k
 first, each as M(v) = 1 - sum_{d=2..v} M(v//d) in three numpy arrays; that is
 what gives the ~x^(2/3) running time the deceleration table records.
 The divisor summatory also takes one bound or an int64 array of them: bounds
 up to 2^18 are gathered from one process-wide T2 prefix table (T2_TABLE,
-which parity also reads), and each larger one runs the Dirichlet hyperbola
+which every tau2 node reads), and each larger one runs the Dirichlet hyperbola
 identity at the sqrt(x) split; its catalog deceleration stays 1/3, the best
 known exponent for it, which this package does not implement (see README).
 """
@@ -106,7 +106,7 @@ def _mu_and_mertens(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # (mu, M) over 0..m for a growing m, 5 bytes a cell: Mertens and every mu node
-# read it (parity reads the int8 MU_TABLE alone).
+# (parity's too) read it.
 MERTENS_TABLE = GrowOnly(_mu_and_mertens)
 
 # Prefix-table threshold: u ~ x^(2/3) balances the sieve against the
@@ -146,7 +146,7 @@ def mertens(x: int) -> int:
 
 
 # T2(0..m), shared by every caller in the process: a bound up to the limit is
-# one gather from it (parity's T2* loop reads it directly).
+# one gather from it.
 T2_TABLE_LIMIT = 1 << 18
 T2_TABLE = GrowOnly(lambda m: np.cumsum(multfn.algorithm_m(multfn.TAU2, m).values, dtype=np.int64))
 

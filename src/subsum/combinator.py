@@ -24,6 +24,9 @@ mapped through the exact integer root when the other operand is stretched.
 An array atom (the closed forms one, id, id2, id3, chi4, and tau2) takes
 all of them in one call; Mertens, stretch and convolution nodes take one
 memoized call per argument, largest first.  One exact weighted sum follows.
+An interval H(b) - H(a-1) is one pass when the cutoffs taken at a - 1 also
+serve b: the cross term cancels, and each half sum holds both ends' terms
+less those whose two arguments agree.
 
 Expression grammar ('*' convolution, '@k' stretch, '^k' convolution power;
 '@'/'^' bind tighter than '*', which is left-associative):
@@ -370,6 +373,10 @@ class _Node:
     def eval(self, x: int) -> int:
         raise NotImplementedError
 
+    def eval_interval(self, a1: int, b: int) -> int:
+        """H(b) - H(a1) for a1 < b."""
+        return wide_check(self.eval(b) - self.eval(a1))
+
 
 class _AtomNode(_Node):
     def __init__(self, name: str):
@@ -430,28 +437,38 @@ class _ConvNode(_Node):
 
     @staticmethod
     def _half_sum(
-        x: int, side: tuple[np.ndarray, np.ndarray], k_self: int, other: _Node, k_other: int, cut: int
+        x: int, side: tuple[np.ndarray, np.ndarray], k_self: int, other: _Node, k_other: int, cut: int,
+        a1: int | None = None,
     ) -> int:
-        """sum_{d <= cut, side(d) != 0} side(d) * Other((x / d^k_self)^(1/k_other)).
+        """sum_{d <= cut, side(d) != 0} side(d) * Other((x / d^k_self)^(1/k_other)),
+        less the same sum at a1 < x when a1 is given.
 
         side is the (values, prefix) table of the summed operand, covering 0..cut.
         Each d <= D (D = min(cut, isqrt x) when k_self = 1, else cut) with
         side(d) != 0 is one term side(d) Other(x // d^k_self); the d in (D, cut]
         share quotients q < sqrt x and give one term per q, weighted by the
         prefix difference over the d with x // d = q.  Zero weights are dropped,
-        so Other is checked against 128 bits on exactly the non-zero terms.  The
-        arguments fall from x, so a nested node's tables grow once; an array
-        atom takes them all in one call, any other node one memoized eval each.
+        so Other is checked against 128 bits on exactly the non-zero terms.  With
+        a1, both ends take the D of a1, a d <= D whose two quotients are equal
+        cancels and is dropped, and the block terms of a1 join with the opposite
+        sign.  The arguments fall from x, so a nested node's tables grow once; an
+        array atom takes them all in one call, any other node one memoized eval each.
         """
         vals, pref = side
-        dense = min(cut, isqrt(x)) if k_self == 1 else cut
+        dense = min(cut, isqrt(x if a1 is None else a1)) if k_self == 1 else cut
         ds = np.flatnonzero(vals[1 : dense + 1]) + 1
         weights, ys = vals[ds], x // ds**k_self
-        if dense < cut:
-            qs = np.arange(x // (dense + 1), x // cut - 1, -1, dtype=np.int64)
-            block = pref[np.minimum(x // qs, cut)] - pref[np.maximum(x // (qs + 1), dense)]
+        if a1 is not None:
+            ya = a1 // ds**k_self
+            moved = np.flatnonzero(ys != ya)
+            weights = np.concatenate((weights[moved], -weights[moved]))
+            ys = np.concatenate((ys[moved], ya[moved]))
+        ends = ((x, 1),) if a1 is None else ((x, 1), (a1, -1))
+        for end, sign in ends if dense < cut else ():
+            qs = np.arange(end // (dense + 1), end // cut - 1, -1, dtype=np.int64)
+            block = pref[np.minimum(end // qs, cut)] - pref[np.maximum(end // (qs + 1), dense)]
             keep = np.flatnonzero(block)
-            weights, ys = np.concatenate((weights, block[keep])), np.concatenate((ys, qs[keep]))
+            weights, ys = np.concatenate((weights, sign * block[keep])), np.concatenate((ys, qs[keep]))
         if k_other > 1:
             ys = np.array([ikrt(y, k_other) for y in ys.tolist()], dtype=np.int64)
         # ys[0] is x^(1/k_other): f(1) = 1 is always a term
@@ -484,6 +501,18 @@ class _ConvNode(_Node):
         total += self._half_sum(x, gtable, self.k2, self.fnode, self.k1, d2)
         cross = int(ftable[1][d1]) * int(gtable[1][d2])
         return wide_check(total - cross)
+
+    def eval_interval(self, a1: int, b: int) -> int:
+        # v from the split at a1 and u the largest with u^k1 v^k2 <= a1: if also
+        # b < (u+1)^k1 (v+1)^k2, both ends share the cutoffs and the cross term cancels
+        if a1 > SMALL_THRESHOLD:
+            v = _floor_power(a1, (1 - self.split) / self.k2)
+            u = ikrt(a1 // v**self.k2, self.k1)
+            if u**self.k1 * v**self.k2 <= a1 and b < (u + 1) ** self.k1 * (v + 1) ** self.k2:
+                total = self._half_sum(b, self.fnode.covering(u), self.k1, self.gnode, self.k2, u, a1)
+                total += self._half_sum(b, self.gnode.covering(v), self.k2, self.fnode, self.k1, v, a1)
+                return wide_check(total)
+        return super().eval_interval(a1, b)
 
 
 def _resolve(expr: SummatoryExpr) -> _Node:
@@ -538,6 +567,13 @@ class SummatoryEvaluator:
 
     def eval(self, x: int) -> int:
         return self._root.eval(check_bound(x))
+
+    def eval_interval(self, a: int, b: int) -> int:
+        """H(b) - H(a - 1) for 1 <= a <= b: one pass when one pair of cutoffs serves both."""
+        a, b = check_bound(a), check_bound(b)
+        if not 1 <= a <= b:
+            raise ValueError("need 1 <= a <= b")
+        return self._root.eval_interval(a - 1, b)
 
     def eval_with_split(self, x: int, c: Fraction) -> int:
         """Diagnostic: force the three-term identity with an explicit split c.

@@ -9,39 +9,21 @@ parity of the prime count itself:
     #{p in [a,b]} = (T2*(b) - T2*(a-1)) / 2 - sum_{j>=2} #{p : p^j in [a,b]}  (mod 2)
 
 n = 1 contributes the odd value 1 and is handled by an explicit adjustment.
+The interval sum is one `SummatoryEvaluator.eval_interval` of "mu@2 * tau2".
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import cached_property
 
-import numpy as np
+from .arith import check_bound, ikrt, is_prime
+from .combinator import SummatoryEvaluator
 
-from .arith import SEGMENT, check_bound, ikrt, is_prime, wide_check
-from .base_summatory import MU_TABLE, T2_TABLE, T2_TABLE_LIMIT, divisor_summatory
+_T2_STAR = "mu@2 * tau2"  # the unitary divisor count 2^omega(n) = sum_{d^2 e = n} mu(d) tau2(e)
 
 
 def unitary_divisor_summatory(x: int) -> int:
-    """T2*(x) = sum_{n<=x} 2^omega(n), via sum_{d<=sqrt(x)} mu(d) T2(x/d^2).
-
-    Agrees with evaluating the expression "mu@2 * tau2"; this specialized
-    loop exists because the parity search hammers it at large x.
-    """
-    x = check_bound(x)
-    r = isqrt(x)
-    mu = MU_TABLE.covering(r)
-    # the tail (small x // d^2) is gathered from the shared T2 table, SEGMENT terms at a time
-    table = T2_TABLE.covering(T2_TABLE_LIMIT)
-    d_table = isqrt(x // T2_TABLE_LIMIT) + 1  # x // d^2 < table limit from here on
-    total = 0
-    for d in range(1, min(d_table, r + 1)):
-        m = int(mu[d])
-        if m:
-            total += m * divisor_summatory(x // (d * d))
-    for lo in range(d_table, r + 1, SEGMENT):
-        hi = min(lo + SEGMENT, r + 1)
-        ds = np.arange(lo, hi, dtype=np.int64)
-        total += int(np.dot(mu[lo:hi].astype(np.int64), table[x // (ds * ds)]))
-    return wide_check(total)
+    """T2*(x) = sum_{n<=x} 2^omega(n): one evaluation of "mu@2 * tau2"."""
+    return SummatoryEvaluator(_T2_STAR).eval(x)
 
 
 def prime_power_counts(a: int, b: int) -> list[tuple[int, int]]:
@@ -70,10 +52,14 @@ class ParityReport:
     """Parity of the prime count in [a, b] plus the quantities behind it."""
 
     parity: int
-    t2star_b: int
-    t2star_a_minus_1: int
+    a: int
+    b: int
     corrections: list[tuple[int, int]]
     one_adjustment: int
+
+    # the endpoint values T2*(b) and T2*(a - 1): one evaluation each, on first read
+    t2star_b = cached_property(lambda self: unitary_divisor_summatory(self.b))
+    t2star_a_minus_1 = cached_property(lambda self: unitary_divisor_summatory(self.a - 1))
 
 
 def interval_prime_parity(a: int, b: int) -> ParityReport:
@@ -81,10 +67,8 @@ def interval_prime_parity(a: int, b: int) -> ParityReport:
     a, b = check_bound(a), check_bound(b)
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    t2star_b = unitary_divisor_summatory(b)
-    t2star_a1 = unitary_divisor_summatory(a - 1)
     one_adjustment = 1 if a == 1 else 0
-    interval = t2star_b - t2star_a1 - one_adjustment
+    interval = SummatoryEvaluator(_T2_STAR).eval_interval(a, b) - one_adjustment
     if interval % 2:
         # impossible while the summatories are right: every n >= 2 term is even
         raise ArithmeticError(
@@ -94,10 +78,4 @@ def interval_prime_parity(a: int, b: int) -> ParityReport:
     parity = (interval % 4) // 2
     for _, count in corrections:
         parity ^= count & 1
-    return ParityReport(
-        parity=parity,
-        t2star_b=t2star_b,
-        t2star_a_minus_1=t2star_a1,
-        corrections=corrections,
-        one_adjustment=one_adjustment,
-    )
+    return ParityReport(parity, a, b, corrections, one_adjustment)

@@ -3,14 +3,13 @@
 import pytest
 
 import subsum.base_summatory as base
-import subsum.parity
 from subsum.arith import GrowOnly
 
 
 @pytest.fixture
 def empty_mu_table(monkeypatch):
-    """Fresh, empty shared mu tables: MU_TABLE (Mertens and parity) and the
-    (mu, M) prefix table (Mertens and every mu node).
+    """Fresh, empty shared mu tables: MU_TABLE and the (mu, M) prefix table
+    over it, which Mertens and every mu node (parity's too) read.
 
     Returns the function that installs them, so a test can start over.
     """
@@ -18,7 +17,6 @@ def empty_mu_table(monkeypatch):
     def reset():
         table = GrowOnly(base.mobius_sieve)
         monkeypatch.setattr(base, "MU_TABLE", table)
-        monkeypatch.setattr(subsum.parity, "MU_TABLE", table)
         monkeypatch.setattr(base, "MERTENS_TABLE", GrowOnly(base._mu_and_mertens))
 
     reset()

@@ -74,13 +74,14 @@ def test_parity_odd(capsys):
 
 
 def test_parity_report(capsys):
-    code, out, _ = run(capsys, "parity", "--report", "1020", "1030")
-    lines = out.splitlines()
-    assert code == 0
-    assert lines[0] == "odd"
-    assert lines[1].startswith("t2star_b=")
-    assert lines[2].startswith("t2star_a_minus_1=")
-    assert "j=10 count=1" in lines[3:]
+    # stdout pinned byte for byte, at values computed by a direct
+    # sum_{d <= sqrt x} mu(d) T2(x // d^2) at each end
+    assert run(capsys, "parity", "--report", "1020", "1030") == (
+        0, "odd\nt2star_b=5157\nt2star_a_minus_1=5089\nj=10 count=1\n", ""
+    )
+    assert run(capsys, "parity", "--report", "10000000000", "10000001000") == (
+        0, "even\nt2star_b=147849128291\nt2star_a_minus_1=147849112847\n", ""
+    )
 
 
 def test_parity_bad_interval(capsys):

@@ -422,10 +422,10 @@ def _log_routes(monkeypatch):
         names[summatory] = name
         return entry._replace(summatory=summatory)
 
-    def logged_half_sum(x, side, k_self, other, k_other, cut):
+    def logged_half_sum(x, side, k_self, other, k_other, cut, a1=None):
         if isinstance(other, combinator._AtomNode):
             half_sums.append((names[other._summatory], k_self))
-        return real_half_sum(x, side, k_self, other, k_other, cut)
+        return real_half_sum(x, side, k_self, other, k_other, cut, a1)
 
     monkeypatch.setattr(combinator, "catalog_atom", logged_atom)
     monkeypatch.setattr(combinator._ConvNode, "_half_sum", staticmethod(logged_half_sum))
@@ -605,3 +605,113 @@ def test_overflow_raises_before_any_table(monkeypatch):
     for text in ("mu * id3", "id3 * mu", "id3 * one"):
         with pytest.raises(OverflowError):
             SummatoryEvaluator(text).eval(6 * 10**9)
+
+
+# --- intervals: H(b) - H(a - 1) in one pass -----------------------------------
+
+
+def _shared_cutoff_end(ev, a1):
+    """(u+1)^k1 (v+1)^k2 for the cutoffs taken at a1: the first b past a1 that
+    one pass cannot serve."""
+    from subsum.combinator import _floor_power
+
+    root = ev._root
+    v = _floor_power(a1, (1 - root.split) / root.k2)
+    u = ikrt(a1 // v**root.k2, root.k1)
+    return (u + 1) ** root.k1 * (v + 1) ** root.k2
+
+
+def _count_root_evals(monkeypatch, ev):
+    """Count the root's own evals (an interval that falls back makes two)."""
+    calls = []
+    root_eval = ev._root.eval
+
+    def counted(x):
+        calls.append(x)
+        return root_eval(x)
+
+    monkeypatch.setattr(ev._root, "eval", counted)
+    return calls
+
+
+# "mu * id" has a block part at k_self = 1, "(one * chi4)^2" a nested Other,
+# "mu@2 * (one^4)" and "tau2@2 * one" a stretched Other over a node and an array.
+_INTERVAL_TEXTS = ("mu@2 * tau2", "mu * id", "one^3", "(one * chi4)^2", "mu@2 * (one^4)", "tau2@2 * one")
+
+
+@pytest.mark.parametrize("text", _INTERVAL_TEXTS)
+def test_eval_interval_matches_two_evals(monkeypatch, text):
+    from subsum.combinator import SMALL_THRESHOLD
+
+    ev = SummatoryEvaluator(text)
+    t = SMALL_THRESHOLD
+    cases = [(1, 1), (1, 2), (1, 5000), (t, t + 1), (t + 1, t + 1), (t + 1, 5000), (t + 2, t + 2), (t + 2, 5000)]
+    # quotient seams m^k +- 1 at either end
+    for s in {m**k + e for m, k in ((101, 2), (316, 2), (46, 3), (17, 4)) for e in (-1, 0, 1)}:
+        cases += [(s + 1, s + 1), (s + 1, s + 100), (s - 99, s), (s, s)]
+    evals = _count_root_evals(monkeypatch, ev)
+    for a1 in (5000, 65536, 10**5 + 7, 3 * 10**5 + 1):
+        end = _shared_cutoff_end(ev, a1)
+        assert end - 1 > a1
+        for b, two_evals in ((a1 + 1, False), (end - 1, False), (end, True)):
+            evals.clear()
+            got = ev.eval_interval(a1 + 1, b)
+            assert len(evals) == (2 if two_evals else 0), (a1, b, evals)
+            cases.append((a1 + 1, b))
+            assert got == ev.eval(b) - ev.eval(a1), (a1, b)
+    for a, b in cases:
+        assert ev.eval_interval(a, b) == ev.eval(b) - ev.eval(a - 1), (a, b)
+
+
+def test_eval_interval_at_non_convolution_roots():
+    for text in ("mu", "tau2", "mu@2"):
+        ev = SummatoryEvaluator(text)
+        for a, b in ((1, 1), (1, 10**6), (1000, 1001), (1002, 5000), (10**6 + 1, 10**6 + 10**4)):
+            assert ev.eval_interval(a, b) == ev.eval(b) - ev.eval(a - 1), (text, a, b)
+
+
+def test_eval_interval_rejects_bad_input():
+    ev = SummatoryEvaluator("mu@2 * tau2")
+    for a, b in ((0, 5), (6, 5)):
+        with pytest.raises(ValueError):
+            ev.eval_interval(a, b)
+    with pytest.raises(OverflowError):
+        ev.eval_interval(2**63, 2**63 + 1)
+    with pytest.raises(TypeError):
+        ev.eval_interval(1e6, 1e6 + 1)
+    assert ev.eval_interval(np.int64(10**6), np.int64(10**6 + 9)) == ev.eval_interval(10**6, 10**6 + 9)
+
+
+def test_eval_interval_keeps_128_bit_raise_set():
+    # The interval's largest term Other(b) is the one that overflows in eval(b).
+    with pytest.raises(OverflowError):
+        SummatoryEvaluator("id3 * one").eval(6 * 10**9)
+    with pytest.raises(OverflowError):
+        SummatoryEvaluator("id3 * one").eval_interval(6 * 10**9 - 100, 6 * 10**9)
+    jordan3 = SummatoryEvaluator("mu * id3")
+    x = 5_150_000_000  # the term mu(1) S3(x) leaves 128 bits, the total would fit
+    with pytest.raises(OverflowError):
+        jordan3.eval_interval(x - 100, x)
+    a, b = 4 * 10**9 - 100, 4 * 10**9
+    assert jordan3.eval_interval(a, b) == jordan3.eval(b) - jordan3.eval(a - 1)
+
+
+def test_parity_interval_passes_few_large_t2_bounds(monkeypatch):
+    # One pass over [1e12, 1e12 + 100] sends T2 only the quotients that move;
+    # two full evaluations send it thousands of bounds above the T2 table.
+    from subsum.base_summatory import T2_TABLE_LIMIT
+    from subsum.parity import interval_prime_parity
+
+    calls, _ = _log_routes(monkeypatch)
+
+    def large_t2_bounds():
+        ys = [np.asarray(y).ravel() for name, y in calls if name == "tau2"]
+        return sum(int(np.count_nonzero(y > T2_TABLE_LIMIT)) for y in ys)
+
+    a, b = 10**12, 10**12 + 100
+    interval_prime_parity(a, b)
+    one_pass = large_t2_bounds()
+    calls.clear()
+    ev = SummatoryEvaluator("mu@2 * tau2")
+    ev.eval(b), ev.eval(a - 1)
+    assert 0 < one_pass <= 48 < 1000 < large_t2_bounds(), one_pass

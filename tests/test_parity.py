@@ -38,13 +38,16 @@ def test_unitary_divisor_summatory_vs_evaluator():
         assert unitary_divisor_summatory(x) == ev.eval(x), x
 
 
-def test_unitary_divisor_summatory_tail_in_segments(monkeypatch):
-    # The vectorized tail d in [d_table, isqrt(x)] runs in SEGMENT-sized
-    # chunks: a 7-element segment splits it into up to 781 chunks here.
-    monkeypatch.setattr("subsum.parity.SEGMENT", 7)
+def test_t2star_interval_against_two_evaluations():
+    # Each x is an end: as a - 1 and, when x >= 1, as b.  Short intervals take
+    # the one-pass route, long ones (and a - 1 <= 1000) two evaluations.
     ev = SummatoryEvaluator("mu@2 * tau2")
     for x in (0, 1, 1000, 31**2, 10**6 + 3, 3 * 10**7 + 1):
-        assert unitary_divisor_summatory(x) == ev.eval(x), x
+        intervals = [(x + 1, x + 1), (x + 1, x + 1000), (x + 1, 2 * x + 1)]
+        if x >= 1:
+            intervals += [(1, x), (x, x), (max(1, x - 999), x)]
+        for a, b in intervals:
+            assert ev.eval_interval(a, b) == ev.eval(b) - ev.eval(a - 1), (a, b)
 
 
 def test_parity_helpers_take_numpy_integer_bounds():

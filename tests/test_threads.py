@@ -20,10 +20,9 @@ from subsum.oracle import brute_summatory_batch, mobius_values
 
 @pytest.fixture
 def empty_t2_table(monkeypatch):
-    """A fresh, empty shared T2 table for the evaluator and parity; the threads grow it."""
+    """A fresh, empty shared T2 table for every tau2 node (parity's too); the threads grow it."""
     table = GrowOnly(lambda m: np.cumsum(algorithm_m(TAU2, m).values, dtype=np.int64))
     monkeypatch.setattr(subsum.base_summatory, "T2_TABLE", table)
-    monkeypatch.setattr(subsum.parity, "T2_TABLE", table)
     return table
 
 
