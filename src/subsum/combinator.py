@@ -26,7 +26,10 @@ all of them in one call; Mertens, stretch and convolution nodes take one
 memoized call per argument, largest first.  One exact weighted sum follows.
 An interval H(b) - H(a-1) is one pass when the cutoffs taken at a - 1 also
 serve b: the cross term cancels, and each half sum holds both ends' terms
-less those whose two arguments agree.
+less those whose two arguments (after the root) agree.  Over tau2 the
+paired terms are one call of its interval routine, T2(y_b) - T2(y_a) per
+pair, which factors a short pair's interval instead of running two
+hyperbolas.
 
 Expression grammar ('*' convolution, '@k' stretch, '^k' convolution power;
 '@'/'^' bind tighter than '*', which is left-associative):
@@ -51,6 +54,7 @@ values come from the dedicated `gaussian_dec`, not from the generic tree.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from numbers import Rational
 from typing import Union
@@ -352,6 +356,21 @@ def _floor_power(x: int, e: Fraction) -> int:
     return ikrt(x ** e.numerator, e.denominator)
 
 
+def _root(ys: np.ndarray, k: int) -> np.ndarray:
+    """The exact floor k-th roots of an int64 array of arguments."""
+    return ys if k == 1 else np.array([ikrt(y, k) for y in ys.tolist()], dtype=np.int64)
+
+
+def _dot(weights: np.ndarray, values: np.ndarray) -> int:
+    """sum weights * values, exact: in int64 when no product can wrap, else on Python ints."""
+    if not weights.size:
+        return 0
+    if weights.dtype != object and values.dtype != object:
+        if max_abs(weights) * max_abs(values) <= I64_MAX:
+            return exact_sum(weights * values)
+    return int(np.dot(weights.astype(object), values.astype(object)))
+
+
 class _Node:
     """Resolved expression node: pointwise descriptor + memoized summatory."""
 
@@ -359,6 +378,8 @@ class _Node:
     dec: Fraction
     # the summatory over an int64 array of bounds, for array atoms only
     array_summatory = None
+    # F(b) - F(a) over int64 arrays of pairs a < b, for atoms whose catalog entry has one
+    interval_summatory = None
 
     def __init__(self):
         self.memo: dict[int, int] = {}
@@ -386,6 +407,9 @@ class _AtomNode(_Node):
         self.dec = entry.deceleration
         self._summatory = entry.summatory
         self.array_summatory = entry.summatory if entry.takes_arrays else None
+        if entry.interval is not None:
+            # the pairs it does not shorten read F through the summatory this node holds
+            self.interval_summatory = partial(entry.interval, summatory=self._summatory)
         self.covering = entry.covering or self.covering
 
     def eval(self, x: int) -> int:
@@ -449,37 +473,49 @@ class _ConvNode(_Node):
         share quotients q < sqrt x and give one term per q, weighted by the
         prefix difference over the d with x // d = q.  Zero weights are dropped,
         so Other is checked against 128 bits on exactly the non-zero terms.  With
-        a1, both ends take the D of a1, a d <= D whose two quotients are equal
-        cancels and is dropped, and the block terms of a1 join with the opposite
-        sign.  The arguments fall from x, so a nested node's tables grow once; an
-        array atom takes them all in one call, any other node one memoized eval each.
+        a1, both ends take the D of a1; a d <= D whose two arguments agree after
+        the k_other-th root cancels and is dropped; and the block terms of a1
+        join with the opposite sign.  An atom with an interval routine (tau2)
+        takes the paired d <= D terms as (a1 argument, x argument) pairs, one
+        weight each; for any other Other both ends' arguments join the list with
+        opposite weights.  The arguments fall from x, so a nested node's tables
+        grow once; an array atom takes them all in one call, any other node one
+        memoized eval each.
         """
         vals, pref = side
         dense = min(cut, isqrt(x if a1 is None else a1)) if k_self == 1 else cut
         ds = np.flatnonzero(vals[1 : dense + 1]) + 1
         weights, ys = vals[ds], x // ds**k_self
-        if a1 is not None:
+        total = 0
+        if a1 is None:
+            ys = _root(ys, k_other)
+        else:
+            # a d cancels when its two quotients, or their k_other-th roots, agree
             ya = a1 // ds**k_self
             moved = np.flatnonzero(ys != ya)
-            weights = np.concatenate((weights[moved], -weights[moved]))
-            ys = np.concatenate((ys[moved], ya[moved]))
+            ys, ya = _root(ys[moved], k_other), _root(ya[moved], k_other)
+            kept = np.flatnonzero(ys != ya)
+            weights, ys, ya = weights[moved[kept]], ys[kept], ya[kept]
+            if other.interval_summatory is not None:
+                total = _dot(weights, other.interval_summatory(ya, ys))
+                weights, ys = weights[:0], ys[:0]
+            else:
+                weights, ys = np.concatenate((weights, -weights)), np.concatenate((ys, ya))
         ends = ((x, 1),) if a1 is None else ((x, 1), (a1, -1))
         for end, sign in ends if dense < cut else ():
             qs = np.arange(end // (dense + 1), end // cut - 1, -1, dtype=np.int64)
             block = pref[np.minimum(end // qs, cut)] - pref[np.maximum(end // (qs + 1), dense)]
             keep = np.flatnonzero(block)
-            weights, ys = np.concatenate((weights, sign * block[keep])), np.concatenate((ys, qs[keep]))
-        if k_other > 1:
-            ys = np.array([ikrt(y, k_other) for y in ys.tolist()], dtype=np.int64)
-        # ys[0] is x^(1/k_other): f(1) = 1 is always a term
+            weights = np.concatenate((weights, sign * block[keep]))
+            ys = np.concatenate((ys, _root(qs[keep], k_other)))
+        if not ys.size:
+            return total
+        # ys[0] is x^(1/k_other), as f(1) = 1, unless its pair cancelled or took the interval routine
         if other.array_summatory is not None:
             values = other.array_summatory(ys)
         else:
             values = np.array([other.eval(y) for y in ys.tolist()], dtype=object)
-        if weights.dtype != object and values.dtype != object:
-            if max_abs(weights) * max_abs(values) <= I64_MAX:
-                return exact_sum(weights * values)
-        return int(np.dot(weights.astype(object), values.astype(object)))
+        return total + _dot(weights, values)
 
     def eval_identity(self, x: int, c: Fraction) -> int:
         """The three-term splitting identity with split exponent c in (0, 1)."""

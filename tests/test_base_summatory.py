@@ -9,11 +9,14 @@ from subsum.base_summatory import (
     catalog_atom,
     chi4_summatory,
     divisor_summatory,
+    divisor_summatory_interval,
     mertens,
     mobius_sieve,
     power_summatory,
 )
-from subsum.arith import I64_MAX, ikrt
+from math import isqrt
+
+from subsum.arith import I64_MAX, ikrt, is_prime
 from subsum.oracle import mobius_values
 
 
@@ -241,6 +244,127 @@ def test_divisor_summatory_array_switches_to_python_ints(monkeypatch):
         assert got.dtype == dtype and got.tolist() == want, cap
 
 
+# --- T2(b) - T2(a) over arrays of pairs -----------------------------------------
+
+
+def _check_pairs(pairs, monkeypatch=None):
+    """divisor_summatory_interval against two divisor_summatory reads per pair;
+    returns the bounds it sent through the hyperbola."""
+    import subsum.base_summatory as base
+
+    want = [divisor_summatory(b) - divisor_summatory(a) for a, b in pairs]
+    hyperbolas = []
+    if monkeypatch is not None:
+        real = base._hyperbola
+        monkeypatch.setattr(base, "_hyperbola", lambda x: hyperbolas.append(x) or real(x))
+    a, b = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+    got = divisor_summatory_interval(a, b)
+    assert got.tolist() == want, [(pair, g, w) for pair, g, w in zip(pairs, got, want) if g != w]
+    if monkeypatch is not None:
+        monkeypatch.setattr(base, "_hyperbola", real)
+    return hyperbolas
+
+
+def test_t2_interval_at_table_seam(monkeypatch):
+    # b at 2^18 +- 1: two table reads up to the limit, factored or hyperbola past it
+    limit = 1 << 18
+    pairs = [(b - gap, b) for b in (limit - 1, limit, limit + 1) for gap in (1, 7, b)]
+    assert _check_pairs(pairs, monkeypatch) == [limit + 1]  # only (0, 2^18 + 1) is long
+
+
+def test_t2_interval_at_the_short_threshold(monkeypatch):
+    # (b - a) * ratio <= isqrt(b) factors the interval; one more takes two hyperbolas
+    import subsum.base_summatory as base
+
+    for b in (10**9 + 7, 10**12 + 39, 3 * 10**12 + 1):
+        gap = isqrt(b) // base._SHORT_RATIO
+        assert _check_pairs([(b - gap + 1, b), (b - gap, b)], monkeypatch) == [], b
+        assert _check_pairs([(b - gap - 1, b)], monkeypatch) == [b, b - gap - 1], b
+
+
+def test_t2_interval_at_the_root_cap(monkeypatch):
+    # with the cap patched small: isqrt(b) at cap - 1 and cap factor, cap + 1 does not
+    import subsum.base_summatory as base
+
+    cap = 1000
+    monkeypatch.setattr(base, "_SHORT_ROOT_CAP", cap)
+    for root in (cap - 1, cap, cap + 1):
+        for b in (root * root, (root + 1) ** 2 - 1):
+            long = [b, b - 3] if root > cap else []
+            assert _check_pairs([(b - 3, b)], monkeypatch) == long, b
+
+
+def _largest_prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_t2_interval_over_special_integers(monkeypatch):
+    # p^2 with p the largest prime <= sqrt(b) (its exponent 2 is the last
+    # level), powers of two, highly composite n, and n = m q with q a prime
+    # above sqrt(n) (the doubled cofactor) or n itself prime
+    import subsum.base_summatory as base
+
+    pairs = []
+    for root in (10**3, 10**5, 999_999, 1_732_050):
+        p = _largest_prime_at_most(root)
+        pairs += [(p * p - 1, p * p), (p * p - 5, p * p + 3), (p * p - p // base._SHORT_RATIO, p * p)]
+    pairs += [(2**k - 3, 2**k + 3) for k in (19, 31, 40, 42)]
+    pairs += [(2**40 - 1, 2**40)]
+    for hcn in (720720, 735134400, 963761198400, 2248776129600):
+        pairs += [(hcn - 1, hcn), (hcn - 6, hcn + 6)]
+    q = _largest_prime_at_most(10**6)
+    pairs += [(m * q - 1, m * q) for m in (2, 3, 997)] + [(q - 1, q), (10**12 + 38, 10**12 + 39)]
+    assert is_prime(10**12 + 39)
+    assert _check_pairs(pairs, monkeypatch) == []
+
+
+def _t2_interval(pairs):
+    a, b = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+    return divisor_summatory_interval(a, b)
+
+
+def test_t2_interval_in_chunks_of_a_few_elements(monkeypatch):
+    # the (pair, prime) work split into chunks of a few elements (one pair each)
+    # and of a few thousand (several pairs each) gives the same sums
+    import subsum.base_summatory as base
+
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(60):
+        b = rng.choice((rng.randrange(1 << 18, 10**7), rng.randrange(10**7, 4 * 10**12)))
+        pairs.append((b - rng.randrange(1, isqrt(b) // base._SHORT_RATIO + 1), b))
+    want = [divisor_summatory(b) - divisor_summatory(a) for a, b in pairs]
+    for chunk in (3, 2000, base._SHORT_CHUNK):
+        monkeypatch.setattr(base, "_SHORT_CHUNK", chunk)
+        assert _t2_interval(pairs).tolist() == want, chunk
+
+
+def test_t2_interval_mixed_routes_and_checks(monkeypatch):
+    # a = 0 and every route in one call; an int64 result exactly when T2(max b) fits
+    import subsum.base_summatory as base
+
+    rng = random.Random(22)
+    pairs = [(0, 1), (0, 2), (0, 1 << 18), (0, (1 << 18) + 1), (0, 10**9)]
+    for _ in range(100):
+        b = rng.randrange(2, 10**12)
+        pairs.append((max(0, b - rng.choice((1, 2, 10, 1000, 10**5))), b))
+    want = [divisor_summatory(b) - divisor_summatory(a) for a, b in pairs]
+    got = _t2_interval(pairs)
+    assert got.dtype == np.int64 and got.tolist() == want
+    top = max(b for _, b in pairs)
+    monkeypatch.setattr(base, "I64_MAX", top * (top.bit_length() + 1) - 1)
+    got = _t2_interval(pairs)
+    assert got.dtype == object and got.tolist() == want
+    monkeypatch.setattr(base, "I64_MAX", I64_MAX)
+    for a, b in (([5], [5]), ([6], [5]), ([-1], [5])):
+        with pytest.raises(ValueError):
+            divisor_summatory_interval(np.array(a), np.array(b))
+    empty = np.array([], dtype=np.int64)
+    assert divisor_summatory_interval(empty, empty).size == 0
+
+
 def test_catalog_atoms():
     assert set(ATOM_NAMES) == {"one", "id", "id2", "id3", "chi4", "mu", "tau2"}
     assert catalog_atom("mu").deceleration == Fraction(2, 3)
@@ -250,7 +374,11 @@ def test_catalog_atoms():
     assert catalog_atom("chi4").summatory(5) == 1
     assert catalog_atom("tau2").summatory(10) == 27
     assert catalog_atom("tau2").takes_arrays and not catalog_atom("mu").takes_arrays
-    assert catalog_atom("mu").covering is not None and catalog_atom("tau2").covering is None
+    assert catalog_atom("mu").covering is not None and catalog_atom("tau2").covering is not None
+    assert [name for name in ATOM_NAMES if catalog_atom(name).interval] == ["tau2"]
+    tau2, t2 = catalog_atom("tau2").covering(10)
+    assert tau2.dtype == np.int16 and tau2[:11].tolist() == [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4]
+    assert t2.size > 1 << 18 and t2[10] == 27
     assert catalog_atom("id2").summatory(4) == 30
     assert catalog_atom("mu").pointwise.eval(7, 1) == -1
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -697,21 +697,39 @@ def test_eval_interval_keeps_128_bit_raise_set():
 
 
 def test_parity_interval_passes_few_large_t2_bounds(monkeypatch):
-    # One pass over [1e12, 1e12 + 100] sends T2 only the quotients that move;
-    # two full evaluations send it thousands of bounds above the T2 table.
-    from subsum.base_summatory import T2_TABLE_LIMIT
+    # One pass over [1e12, 1e12 + 100] pairs the quotients that move, and every
+    # pair is short: T2's interval routine factors them, so the summatory gets
+    # no bound and no hyperbola runs.  Two full evaluations run thousands.
+    import subsum.base_summatory as base
+    from subsum.arith import segmented_prime_count
     from subsum.parity import interval_prime_parity
 
     calls, _ = _log_routes(monkeypatch)
-
-    def large_t2_bounds():
-        ys = [np.asarray(y).ravel() for name, y in calls if name == "tau2"]
-        return sum(int(np.count_nonzero(y > T2_TABLE_LIMIT)) for y in ys)
-
+    hyperbolas = []
+    real = base._hyperbola
+    monkeypatch.setattr(base, "_hyperbola", lambda x: hyperbolas.append(x) or real(x))
     a, b = 10**12, 10**12 + 100
-    interval_prime_parity(a, b)
-    one_pass = large_t2_bounds()
-    calls.clear()
+    assert interval_prime_parity(a, b).parity == segmented_prime_count(a, b) % 2
+    assert hyperbolas == [] and not [y for name, y in calls if name == "tau2"]
     ev = SummatoryEvaluator("mu@2 * tau2")
     ev.eval(b), ev.eval(a - 1)
-    assert 0 < one_pass <= 48 < 1000 < large_t2_bounds(), one_pass
+    assert len(hyperbolas) > 1000
+
+
+def test_interval_drops_pairs_whose_roots_agree(monkeypatch):
+    # On the tau2 side of "mu@2 * tau2" Other is mu at k_other = 2: a d whose
+    # two quotients differ but share their square root cancels before Mertens.
+    from subsum.combinator import _floor_power
+
+    calls, _ = _log_routes(monkeypatch)
+    for a, b in ((10**12, 10**12 + 100), (10**10 + 1, 10**10 + 10**5), (999_999 * 10**6, 10**12 + 7)):
+        calls.clear()
+        ev = SummatoryEvaluator("mu@2 * tau2")
+        got = ev.eval_interval(a, b)
+        root = ev._root
+        v = _floor_power(a - 1, (1 - root.split) / root.k2)
+        moved = [d for d in range(1, v + 1) if isqrt(b // d) != isqrt((a - 1) // d)]
+        want = {isqrt(y // d) for d in moved for y in (b, a - 1)}
+        assert {y for name, y in calls if name == "mu"} == want, (a, b)
+        assert len(moved) < v
+        assert got == ev.eval(b) - ev.eval(a - 1), (a, b)

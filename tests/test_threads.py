@@ -14,14 +14,14 @@ import subsum.parity
 from subsum.arith import GrowOnly, segmented_prime_count
 from subsum.base_summatory import mertens
 from subsum.combinator import SummatoryEvaluator
-from subsum.multfn import TAU2, algorithm_m
+from subsum.multfn import algorithm_m
 from subsum.oracle import brute_summatory_batch, mobius_values
 
 
 @pytest.fixture
 def empty_t2_table(monkeypatch):
     """A fresh, empty shared T2 table for every tau2 node (parity's too); the threads grow it."""
-    table = GrowOnly(lambda m: np.cumsum(algorithm_m(TAU2, m).values, dtype=np.int64))
+    table = GrowOnly(subsum.base_summatory._tau2_and_t2)
     monkeypatch.setattr(subsum.base_summatory, "T2_TABLE", table)
     return table
 
@@ -159,7 +159,7 @@ def test_array_t2_from_empty_table_across_threads(empty_t2_table):
                 assert SummatoryEvaluator(text).eval(x) == want[text, x], (text, x)
 
     _with_fast_switching(lambda: _run_threads(4, work))
-    assert len(empty_t2_table.covering(0)) == subsum.base_summatory.T2_TABLE_LIMIT + 1
+    assert len(empty_t2_table.covering(0)[1]) == subsum.base_summatory.T2_TABLE_LIMIT + 1
 
 
 def test_mertens_mu_nodes_and_parity_race_from_empty_tables(empty_mu_table):
@@ -186,6 +186,29 @@ def test_mertens_mu_nodes_and_parity_race_from_empty_tables(empty_mu_table):
     def trials():
         for _ in range(3):
             empty_mu_table()
+            _run_threads(4, work)
+
+    _with_fast_switching(trials)
+
+
+def test_short_t2_differences_from_empty_prime_table_across_threads(monkeypatch):
+    # Threads factoring short T2 differences race to grow the shared prime
+    # table: each pass asks for primes up to a larger isqrt(b) than the last.
+    import subsum.base_summatory as base
+
+    rng = random.Random(19)
+    pairs = [(b - rng.randrange(1, 40), b) for b in (rng.randrange(4**k, 4**(k + 1)) for k in range(10, 21))]
+    want = [base.divisor_summatory(b) - base.divisor_summatory(a) for a, b in pairs]
+
+    def work(i):
+        for j in list(range(i, len(pairs))) + list(range(i)):
+            a, b = pairs[j]
+            got = base.divisor_summatory_interval(np.array([a]), np.array([b]))
+            assert got.tolist() == [want[j]], pairs[j]
+
+    def trials():
+        for _ in range(3):
+            monkeypatch.setattr(base, "_PRIMES", GrowOnly(base.primes_up_to))
             _run_threads(4, work)
 
     _with_fast_switching(trials)
