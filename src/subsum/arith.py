@@ -153,7 +153,7 @@ def sum_fits_int64(arr: np.ndarray) -> bool:
 
 
 def exact_sum(arr: np.ndarray) -> int:
-    """Exact sum of a signed int64 array (no silent int64 wrap).
+    """Exact sum of a signed int64 (or narrower) array (no silent int64 wrap).
 
     When the int64 sum could wrap, each element is split as hi * 2^31 + lo
     with 0 <= lo < 2^31, and both halves are summed per segment, where they

@@ -387,9 +387,13 @@ class _Node:
         self.covering = GrowOnly(self._sieve).covering
 
     def _sieve(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """f(0..m) and its prefix sums: int64 when they cannot wrap, else Python ints."""
+        """f(0..m) and its prefix sums: int64 when they cannot wrap, else Python ints.
+
+        A declared bound with B(m) * m <= 2^63 - 1 proves int64 without a scan."""
         vals = algorithm_m(self.ppf, m).values
-        return vals, np.cumsum(vals, dtype=np.int64 if sum_fits_int64(vals) else object)
+        bound = self.ppf.bound
+        fits = (bound is not None and bound(m) * m <= I64_MAX) or sum_fits_int64(vals)
+        return vals, np.cumsum(vals, dtype=np.int64 if fits else object)
 
     def eval(self, x: int) -> int:
         raise NotImplementedError

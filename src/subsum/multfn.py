@@ -7,11 +7,18 @@ such descriptor in near-linear time, plus the two descriptor combinators
 s -> k*s).
 
 The sieve walks primes p <= sqrt(x) and, for each exact power p^alpha || n,
-multiplies f(p^alpha) into cell n while multiplying p^alpha into a product of
-stripped prime powers.  n divided by that product is 1 or a single prime
-> sqrt(x); the final pass evaluates f at that residual prime (classic array
-formulations sometimes write f(n, 1) here, but f is only defined at primes,
-so the residue is what gets passed).
+multiplies f(p^alpha) into cell n while dividing p^alpha out of a residue
+that starts as n.  What is left is 1 or a single prime > sqrt(x); the final
+pass evaluates f at that residual prime (classic array formulations
+sometimes write f(n, 1) here, but f is only defined at primes, so the
+residue is what gets passed).
+
+Every value the sieve forms in a segment lo..hi is f(m) for some m <= hi, so
+a descriptor that declares a bound B(x) >= max|f(n)| over n <= x is trusted:
+when B(hi) <= 2^63 - 1 the segment multiplies with no overflow check, in the
+narrowest of int8, int16, int32 and int64 that holds B(hi).  A descriptor
+without a bound, or with B(hi) above 2^63 - 1, has every multiply checked.
+Either way algorithm_m returns int64 values.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +37,10 @@ class PrimePowerFn:
     eval must be deterministic.  eval_at_primes, when given, vectorizes the
     alpha = 1 case over an int64 array of primes into a new int64 array, which
     callers may overwrite; the sieve's residual pass uses it to avoid
-    per-element Python calls.
+    per-element Python calls.  bound, when given, maps x >= 1 to a proven
+    B(x) >= max|f(n)| over 1 <= n <= x, non-decreasing in x.  The sieve trusts
+    it and skips its overflow checks wherever B(x) <= 2^63 - 1, so a wrong
+    bound gives wrong values; None (the default) keeps every check.
     """
 
     name: str
@@ -38,6 +48,7 @@ class PrimePowerFn:
     eval_at_primes: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
+    bound: Optional[Callable[[int], int]] = field(default=None, compare=False)
 
     def values_at_primes(self, primes: np.ndarray) -> np.ndarray:
         if self.eval_at_primes is not None:
@@ -88,39 +99,79 @@ def _prime_power_values(f: PrimePowerFn, x: int) -> dict[int, list[int]]:
     return cache
 
 
+def _narrowest_int(bound: int) -> type:
+    """The narrowest signed numpy integer type holding every |v| <= bound <= 2^63 - 1."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _multiply(cells: np.ndarray, v) -> None:
+    """cells *= v, unchecked: for cells whose declared bound covers every product."""
+    np.multiply(cells, v, out=cells)
+
+
 def _sieve_segment(f: PrimePowerFn, lo: int, hi: int, ppcache: dict[int, list[int]]) -> np.ndarray:
     """Values f(lo..hi) given ppcache = _prime_power_values(f, x) for hi <= x.
 
-    Level alpha of p is the strided view of the cells divisible by p^alpha.
-    Level 1 is multiplied by f(p) in place, then each deeper level, in
-    increasing alpha, is overwritten by its values from before p times
+    Each value formed is f(m) for some m <= hi, so under a declared
+    B(hi) <= 2^63 - 1 the cells skip the overflow checks and take the
+    narrowest width holding B(hi), in which they are returned; else int64.
+    The residual pass comes first: cell n starts at f of the prime left when
+    every p^alpha || n, p <= sqrt(x), is divided out of n (1 when none is).
+    Then level alpha of p is the strided view of the cells divisible by
+    p^alpha.  Level 1 is multiplied by f(p) in place, then each deeper level,
+    in increasing alpha, is overwritten by its values from before p times
     f(p^alpha).  A product so formed at n with p^(alpha+1) | n has the same
     operands as the exact one at n / p^(v_p(n) - alpha) <= x, so the checks
     raise for exactly the inputs where some exact product overflows.
     """
     width = hi - lo + 1
-    cells = np.ones(width, dtype=np.int64)
-    stripped = np.ones(width, dtype=np.int64)  # product of p^alpha || n, p <= sqrt(x)
+    bound = None if f.bound is None else f.bound(hi)
+    if bound is not None and bound <= I64_MAX:
+        dtype, multiply = _narrowest_int(bound), _multiply
+    else:
+        dtype, multiply = np.int64, _checked_multiply
+    # Below 2^31 the divisions run in int32, held in the upper half of the
+    # int64 array that values_at_primes reads, so widening allocates nothing.
+    residue = np.empty(width, dtype=np.int64)
+    work = residue.view(np.int32)[width:] if hi < 1 << 31 else residue
+    work[:] = np.arange(lo, hi + 1, dtype=work.dtype)
+    for p in ppcache:
+        pa = p
+        while (start := -lo % pa) < width:
+            np.floor_divide(work[start::pa], p, out=work[start::pa])
+            pa *= p
+    keep = work != 1
+    np.maximum(work, 2, out=work)  # any prime: its value is replaced by 1 below
+    np.copyto(residue, work)  # they overlap: numpy copies as if through a temporary
+    cells = f.values_at_primes(residue)
+    del residue, work
+    # cells = 1 where the residue was 1, as (cells - 1) * keep + 1 in place: a masked
+    # write costs more than twice as much (a wrap in cells - 1 is undone by the + 1)
+    cells -= 1
+    cells *= keep
+    cells += 1
+    del keep
+    if dtype is not np.int64:
+        cells = cells.astype(dtype)  # |f(q)| <= B(hi) for the residual primes q too
+    elif multiply is _checked_multiply and int(cells.min()) < -I64_MAX:
+        # -2^63 times -1 wraps, and _checked_multiply takes |v| <= 1 as safe
+        raise OverflowError("pointwise value -2^63 at a prime")
     for p, fvals in ppcache.items():
         levels = []
         pa = p
         while (start := -lo % pa) < width:
             levels.append(slice(start, None, pa))
-            stripped[start::pa] *= p
             pa *= p
         if not levels:
             continue
         saved = [cells[level].copy() for level in levels[1:]]
-        _checked_multiply(cells[levels[0]], fvals[0])
+        multiply(cells[levels[0]], fvals[0])
         for level, before, fa in zip(levels[1:], saved, fvals[1:]):
-            _checked_multiply(before, fa)
+            multiply(before, fa)
             cells[level] = before
-    residue = np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), stripped, out=stripped)
-    done = residue == 1
-    np.copyto(residue, 2, where=done)  # any prime: its value is replaced by 1 below
-    vals = f.values_at_primes(residue)
-    np.copyto(vals, 1, where=done)
-    _checked_multiply(cells, vals)
     return cells
 
 
@@ -128,8 +179,9 @@ def algorithm_m(f: PrimePowerFn, x: int) -> PrefixValues:
     """All of f(1..x) by the prime-power stripping sieve; O(x^(1+eps))."""
     if x < 1:
         raise ValueError("prefix length must be >= 1")
-    cells = _sieve_segment(f, 1, x, _prime_power_values(f, x))
-    values = np.concatenate((np.zeros(1, dtype=np.int64), cells))
+    values = np.empty(x + 1, dtype=np.int64)
+    values[0] = 0
+    values[1:] = _sieve_segment(f, 1, x, _prime_power_values(f, x))
     return PrefixValues(x=x, values=values)
 
 
@@ -155,6 +207,9 @@ def convolve_prime_power(f: PrimePowerFn, g: PrimePowerFn) -> PrimePowerFn:
     and i = a terms contributing g(p^a) and f(p^a) (f and g are 1 at p^0).
     Each h(p^a) is kept (pure values, so racing writers store equal ones):
     unkept, nested self-convolutions cost about (2a)^depth operand calls.
+    When both operands declare a bound, h declares 2 isqrt(x) B_f(x) B_g(x):
+    |h(n)| <= tau(n) B_f B_g, and tau(n) <= 2 isqrt(n) because each divisor
+    pair d <-> n/d has one member <= sqrt n.
     """
     f_eval, g_eval = f.eval, g.eval
     memo: dict[tuple[int, int], int] = {}
@@ -177,15 +232,26 @@ def convolve_prime_power(f: PrimePowerFn, g: PrimePowerFn) -> PrimePowerFn:
             out += gv(ps)  # in place: nested powers hold one array per level
             return out
 
+    h_bound = None
+    if f.bound is not None and g.bound is not None:
+        fb, gb = f.bound, g.bound
+
+        def h_bound(x: int) -> int:
+            return 2 * isqrt(x) * fb(x) * gb(x)
+
     return PrimePowerFn(
         name=f"({f.name} * {g.name})",
         eval=h_eval,
         eval_at_primes=h_vec,
+        bound=h_bound,
     )
 
 
 def stretch_prime_power(f: PrimePowerFn, k: int) -> PrimePowerFn:
-    """Descriptor with Dirichlet series F(k*s): g(n^k) = f(n), else 0."""
+    """Descriptor with Dirichlet series F(k*s): g(n^k) = f(n), else 0.
+
+    g keeps f's bound: every non-zero g(n) is f(m) for m = n^(1/k) <= n.
+    """
     if k < 1:
         raise ValueError("stretch order must be >= 1")
     if k == 1:
@@ -202,6 +268,7 @@ def stretch_prime_power(f: PrimePowerFn, k: int) -> PrimePowerFn:
         name=f"{f.name}@{k}",
         eval=s_eval,
         eval_at_primes=s_vec,
+        bound=f.bound,
     )
 
 
@@ -223,14 +290,33 @@ def _chi4_vec(ps: np.ndarray) -> np.ndarray:
     return out
 
 
-ONE = PrimePowerFn("one", lambda p, a: 1, eval_at_primes=lambda ps: np.ones(ps.shape, dtype=np.int64))
-ID = PrimePowerFn("id", lambda p, a: p**a, eval_at_primes=lambda ps: ps.copy())
-ID2 = PrimePowerFn("id2", lambda p, a: p ** (2 * a), eval_at_primes=_id_power_vec(True))
-ID3 = PrimePowerFn("id3", lambda p, a: p ** (3 * a), eval_at_primes=_id_power_vec(False))
-MU = PrimePowerFn("mu", lambda p, a: -1 if a == 1 else 0, eval_at_primes=lambda ps: np.full(ps.shape, -1, dtype=np.int64))
-TAU2 = PrimePowerFn("tau2", lambda p, a: a + 1, eval_at_primes=lambda ps: np.full(ps.shape, 2, dtype=np.int64))
+def _unit_bound(x: int) -> int:
+    return 1
+
+
+ONE = PrimePowerFn(
+    "one", lambda p, a: 1,
+    eval_at_primes=lambda ps: np.ones(ps.shape, dtype=np.int64), bound=_unit_bound,
+)
+ID = PrimePowerFn("id", lambda p, a: p**a, eval_at_primes=lambda ps: ps.copy(), bound=lambda x: x)
+ID2 = PrimePowerFn(
+    "id2", lambda p, a: p ** (2 * a), eval_at_primes=_id_power_vec(True), bound=lambda x: x**2
+)
+ID3 = PrimePowerFn(
+    "id3", lambda p, a: p ** (3 * a), eval_at_primes=_id_power_vec(False), bound=lambda x: x**3
+)
+MU = PrimePowerFn(
+    "mu", lambda p, a: -1 if a == 1 else 0,
+    eval_at_primes=lambda ps: np.full(ps.shape, -1, dtype=np.int64), bound=_unit_bound,
+)
+# tau2(n) <= 2 isqrt(n): each divisor pair d <-> n/d has one member <= sqrt n
+TAU2 = PrimePowerFn(
+    "tau2", lambda p, a: a + 1,
+    eval_at_primes=lambda ps: np.full(ps.shape, 2, dtype=np.int64), bound=lambda x: 2 * isqrt(x),
+)
 CHI4 = PrimePowerFn(
     "chi4",
     lambda p, a: 0 if p == 2 else (1 if p % 4 == 1 else (-1) ** a),
     eval_at_primes=_chi4_vec,
+    bound=_unit_bound,
 )

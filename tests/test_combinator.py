@@ -733,3 +733,19 @@ def test_interval_drops_pairs_whose_roots_agree(monkeypatch):
         assert {y for name, y in calls if name == "mu"} == want, (a, b)
         assert len(moved) < v
         assert got == ev.eval(b) - ev.eval(a - 1), (a, b)
+
+
+def test_node_prefix_width_from_declared_bound(monkeypatch):
+    import subsum.combinator as combinator
+
+    scans = []
+    scan = combinator.sum_fits_int64
+    monkeypatch.setattr(combinator, "sum_fits_int64", lambda vals: scans.append(vals.size) or scan(vals))
+    # B(m) * m = 2 isqrt(m) * m * m <= 2^63 - 1: int64 prefix, no scan
+    vals, prefix = SummatoryEvaluator("tau2 * one")._root.covering(5000)
+    assert prefix.dtype == np.int64 and not scans
+    assert int(prefix[5000]) == brute_summatory_batch([SummatoryEvaluator("one^3").pointwise], [5000])[0][0]
+    # no bound below 2^63 - 1 proves it: the scan decides, and still picks int64
+    vals, prefix = SummatoryEvaluator("(id3 * id3) * one")._root.covering(2000)
+    assert prefix.dtype == np.int64 and scans == [2001]
+    assert int(prefix[2000]) == int(np.sum(vals.astype(object)))
