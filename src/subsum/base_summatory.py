@@ -3,10 +3,10 @@
 Power sums and the chi4 sum close in O(1), for one bound or for an int64
 array of bounds at once.  The Mertens function reads M(q <= u) from one
 process-wide (mu, M) table over 0..u, u >= x^(2/3) (MERTENS_TABLE, which every
-mu node also reads; its mu is a slice of the int8 MU_TABLE).  x <= u is one
-read; above it, M(x//k) for the k with x//k > u is filled bottom-up, largest k
-first, each as M(v) = 1 - sum_{d=2..v} M(v//d) in three numpy arrays; that is
-what gives the ~x^(2/3) running time the deceleration table records.
+mu node also reads).  x <= u is one read; above it, M(x//k) for the k with
+x//k > u is filled bottom-up, largest k first, each as
+M(v) = 1 - sum_{d=2..v} M(v//d) in three numpy arrays; that is what gives the
+~x^(2/3) running time the deceleration table records.
 The divisor summatory also takes one bound or an int64 array of them: bounds
 up to 2^18 are gathered from one process-wide (tau2, T2) table (T2_TABLE,
 which every tau2 node reads), and each larger one runs the Dirichlet hyperbola
@@ -14,7 +14,9 @@ identity at the sqrt(x) split; its catalog deceleration stays 1/3, the best
 known exponent for it, which this package does not implement (see README).
 Differences T2(b) - T2(a) over arrays of pairs (divisor_summatory_interval,
 the tau2 entry's `interval`) factor a short interval (a, b] over the primes
-up to sqrt(b) instead of running two hyperbolas.
+up to sqrt(b) instead of running two hyperbolas: each exponent is found by
+dividing its multiple, and the part of n made of those primes by one product.
+Every other pair, those up to 2^18 included, is one summatory call.
 """
 
 from fractions import Fraction
@@ -96,15 +98,13 @@ def mobius_sieve(limit: int) -> np.ndarray:
     return mu
 
 
-# mu(0..m) for a growing m, shared by every caller in the process.  The lambda
-# looks mobius_sieve up at call time, so a wrapper bound to the module name
-# (a tracer, say) sees each sieve.
-MU_TABLE = GrowOnly(lambda m: mobius_sieve(m))
-
-
 def _mu_and_mertens(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu(0..m), M(0..m)): M is int32 while m < 2^31, which |M(n)| <= n makes safe."""
-    mu = MU_TABLE.covering(m)[: m + 1]
+    """(mu(0..m), M(0..m)): M is int32 while m < 2^31, which |M(n)| <= n makes safe.
+
+    mobius_sieve is looked up at call time, so a wrapper bound to the module
+    name (a tracer, say) sees each sieve.
+    """
+    mu = mobius_sieve(m)
     return mu, np.cumsum(mu, dtype=np.int32 if m < 1 << 31 else np.int64)
 
 
@@ -218,8 +218,8 @@ _SHORT_ROOT_CAP = 1 << 21
 _SHORT_CHUNK = 1 << 17
 
 # The primes up to a growing limit, shared by every short pair and built on
-# the first; the lambda looks primes_up_to up at call time, as MU_TABLE's
-# does mobius_sieve.
+# the first; the lambda looks primes_up_to up at call time, so a wrapper bound
+# to the module name sees each build.
 _PRIMES = GrowOnly(lambda m: primes_up_to(m))
 
 
@@ -232,11 +232,12 @@ def _factored_interval_sums(a: np.ndarray, b: np.ndarray, roots: np.ndarray) -> 
     """sum_{a < n <= b} tau2(n) per pair, roots[i] = isqrt(b[i]), as int64.
 
     Every n of every interval is factored over the primes p <= isqrt(b): one
-    % per (pair, p) finds the first multiple of p in (a, b], np.repeat lists
-    them all, and a divide loop over the (pair, p) with a hit finds the
-    multiples of p^2, p^3, ..., which give each n its exponent e of p.  What
-    is left of n after its prime powers <= isqrt(b) is 1 or one prime
-    > sqrt(b), so tau2(n) = prod (e + 1), doubled when that cofactor is a prime.
+    % per (pair, p) finds the first multiple of p in (a, b], and np.repeat
+    lists them all.  Each multiple n of p is divided by p until the quotient
+    q is no longer a multiple of p; the divisions count its exponent e, and
+    one product of the p^e = n // q gives the part of n made of primes
+    <= isqrt(b).  What is left of n is 1 or one prime > sqrt(b), so
+    tau2(n) = prod (e + 1), doubled when that cofactor is a prime.
     """
     primes = _PRIMES.covering(int(roots.max()))
     counts = np.searchsorted(primes, roots, side="right")
@@ -260,25 +261,18 @@ def _factored_interval_sums(a: np.ndarray, b: np.ndarray, roots: np.ndarray) -> 
         steps = np.repeat(p, many)
         at = np.repeat(first[pair] + gap - 1, many) + _run_steps(many) * steps
         n = np.repeat(lo - first, size) + np.arange(1, size.sum() + 1)
-        # tau2 and the part of n made of primes <= isqrt(b), exponent by exponent
-        exponent = np.ones(steps.size, dtype=np.int64)
-        smooth = np.ones(n.size, dtype=np.int64)
-        np.multiply.at(smooth, at, steps)
-        # level k >= 1 of a (pair, p): its m multiples of p^k are at h = i,
-        # i + stride, ... (stride = p^(k-1)), and the first of them is q p^k
-        i, stride, m, q = np.cumsum(many) - many, np.ones_like(p), many, (lo[pair] + gap) // p
-        while True:
-            t = -q % p  # the multiple t strides on is the first one of p^(k+1)
-            live = np.flatnonzero(t < m)
-            if not live.size:
-                break
-            p, i, stride, m, q, t = p[live], i[live], stride[live], m[live], q[live], t[live]
-            i, m, q, stride = i + t * stride, (m - 1 - t) // p + 1, (q + t) // p, stride * p
-            deeper = np.repeat(i, m) + _run_steps(m) * np.repeat(stride, m)
-            exponent[deeper] += 1
-            np.multiply.at(smooth, at[deeper], steps[deeper])
+        # n[at[h]] = p^e q with q not a multiple of p: divide while it is one
+        q = n[at] // steps
+        e = np.ones_like(q)
+        live = np.flatnonzero(q % steps == 0)
+        while live.size:
+            e[live] += 1
+            q[live] //= steps[live]
+            live = live[q[live] % steps[live] == 0]
         tau = np.ones(n.size, dtype=np.int64)
-        np.multiply.at(tau, at, exponent + 1)
+        np.multiply.at(tau, at, e + 1)
+        smooth = np.ones(n.size, dtype=np.int64)  # the part of n made of primes <= isqrt(b)
+        np.multiply.at(smooth, at, n[at] // q)
         tau <<= smooth < n
         out[start:stop] = np.add.reduceat(tau, first)
         start = stop
@@ -288,29 +282,25 @@ def _factored_interval_sums(a: np.ndarray, b: np.ndarray, roots: np.ndarray) -> 
 def divisor_summatory_interval(a: np.ndarray, b: np.ndarray, summatory=divisor_summatory) -> np.ndarray:
     """T2(b) - T2(a) element-wise, for int64 arrays of pairs 0 <= a < b.
 
-    A pair with b <= T2_TABLE_LIMIT is two reads from T2_TABLE.  A short pair,
-    (b - a) * _SHORT_RATIO <= isqrt(b) <= _SHORT_ROOT_CAP (exact integer roots),
-    sums tau2 over (a, b] by factoring the interval over the primes up to
-    isqrt(b): O(pi(sqrt b) + (b - a) log log b) elements.  Every other pair
-    takes T2(b) and T2(a) from one call of `summatory` (divisor_summatory, or
-    the one an evaluator node reads T2 through).  The result is int64 when
-    T2(max b) provably fits, else it holds Python ints.
+    A short pair, b > T2_TABLE_LIMIT and (b - a) * _SHORT_RATIO <= isqrt(b)
+    <= _SHORT_ROOT_CAP (exact integer roots), sums tau2 over (a, b] by
+    factoring the interval over the primes up to isqrt(b):
+    O(pi(sqrt b) + (b - a) log log b) elements.  Every other pair,
+    those up to the table limit included, takes T2(b) and T2(a) from one call
+    of `summatory` (divisor_summatory, which reads bounds up to the limit from
+    T2_TABLE, or the one an evaluator node reads T2 through).  The result is
+    int64 when T2(max b) provably fits, else it holds Python ints.
     """
     _largest_bound(a)
     top = _largest_bound(b)
     if np.any(a >= b):
         raise ValueError("need a < b in every pair")
     out = np.empty(b.size, dtype=np.int64 if _t2_fits_int64(top) else object)
-    table = T2_TABLE.covering(T2_TABLE_LIMIT)[1]
-    small = b <= T2_TABLE_LIMIT
-    out[small] = table[b[small]] - table[a[small]]
-    large = np.flatnonzero(~small)
-    roots = np.array([isqrt(y) for y in b[large].tolist()], dtype=np.int64)
-    short = (b[large] - a[large] <= roots // _SHORT_RATIO) & (roots <= _SHORT_ROOT_CAP)
+    roots = np.array([isqrt(y) for y in b.tolist()], dtype=np.int64)
+    short = (b > T2_TABLE_LIMIT) & (b - a <= roots // _SHORT_RATIO) & (roots <= _SHORT_ROOT_CAP)
     if short.any():
-        pick = large[short]
-        out[pick] = _factored_interval_sums(a[pick], b[pick], roots[short])
-    rest = large[~short]
+        out[short] = _factored_interval_sums(a[short], b[short], roots[short])
+    rest = np.flatnonzero(~short)
     if rest.size:
         ends = summatory(np.concatenate((b[rest], a[rest])))
         out[rest] = ends[: rest.size] - ends[rest.size :]

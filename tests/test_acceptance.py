@@ -156,7 +156,7 @@ def test_criterion_5_mertens_scaling_and_values(empty_mu_table):
             known[n] = prefix
     for x, want in known.items():
         assert mertens(x) == want, (x, mertens(x), want)
-    # Each timed call builds its own shared mu tables: a table an earlier test
+    # Each timed call builds its own shared (mu, M) table: a table an earlier test
     # grew past 1e7 would turn the low point into one read.
     def cold_mertens(x):
         empty_mu_table()

@@ -302,8 +302,9 @@ def _largest_prime_at_most(n):
 
 def test_t2_interval_over_special_integers(monkeypatch):
     # p^2 with p the largest prime <= sqrt(b) (its exponent 2 is the last
-    # level), powers of two, highly composite n, and n = m q with q a prime
-    # above sqrt(n) (the doubled cofactor) or n itself prime
+    # division), powers of two and deep odd prime powers, highly composite n,
+    # and n = m q with q a prime above sqrt(n) (the doubled cofactor) or n
+    # itself prime
     import subsum.base_summatory as base
 
     pairs = []
@@ -312,6 +313,9 @@ def test_t2_interval_over_special_integers(monkeypatch):
         pairs += [(p * p - 1, p * p), (p * p - 5, p * p + 3), (p * p - p // base._SHORT_RATIO, p * p)]
     pairs += [(2**k - 3, 2**k + 3) for k in (19, 31, 40, 42)]
     pairs += [(2**40 - 1, 2**40)]
+    for n in (3**25, 5**17, 7**14, 11**11, 9973**3):
+        pairs += [(n - 1, n), (n - 5, n + 3)]
+    pairs += [(2 * 3**25 - 1, 2 * 3**25)]
     for hcn in (720720, 735134400, 963761198400, 2248776129600):
         pairs += [(hcn - 1, hcn), (hcn - 6, hcn + 6)]
     q = _largest_prime_at_most(10**6)

@@ -37,6 +37,14 @@ def test_eval_overflow_exit_code(capsys):
     assert "overflow" in err
 
 
+def test_eval_sieved_table_overflow_exit_code(capsys):
+    # S(1e8) ~ 2.5e31 fits 128 bits, but a prime power of (mu * id3) * one in
+    # the sieved table leaves signed 64 bits: exit 3 all the same
+    code, out, err = run(capsys, "eval", "(mu * id3) * one", "100000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("overflow: ")
+
+
 def test_out_of_memory_exit_code(capsys, monkeypatch):
     # No real allocation: the evaluator and parity are patched to raise.
     import subsum.cli as cli

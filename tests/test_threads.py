@@ -1,4 +1,4 @@
-"""Sharing one evaluator, and the process-wide mu tables, between threads."""
+"""Sharing one evaluator, and the process-wide tables, between threads."""
 
 import random
 import sys
@@ -163,8 +163,8 @@ def test_array_t2_from_empty_table_across_threads(empty_t2_table):
 
 
 def test_mertens_mu_nodes_and_parity_race_from_empty_tables(empty_mu_table):
-    # Mertens and the mu nodes of fresh evaluators grow the shared (mu, M)
-    # table while parity grows the mu table under it; each trial starts empty.
+    # Mertens, the mu nodes of fresh evaluators and parity all grow the shared
+    # (mu, M) table; each trial starts empty.
     texts = ("mu * id", "mu@2 * tau2")
     xs = random.Random(17).sample(range(1000, 50001), 12)
     brute = brute_summatory_batch([SummatoryEvaluator(text).pointwise for text in texts], xs)
